@@ -14,6 +14,7 @@
 #include "core/async_runner.hpp"
 #include "core/event_engine.hpp"
 #include "core/checkpoint.hpp"
+#include "core/env.hpp"
 #include "core/evaluation.hpp"
 #include "core/runner.hpp"
 #include "data/synth.hpp"
@@ -87,8 +88,9 @@ void print_help() {
       "  --tree-fanout F      leader/sub-leader aggregation tree fan-out;\n"
       "                       0 = flat gather (default 0; byte-identical\n"
       "                       result either way)\n"
-      "  --mailbox-cap N      per-mailbox high-water mark, 0 = unbounded\n"
-      "                       (overflowed sends are dropped and counted)\n"
+      "  --mailbox-cap N      per-mailbox high-water mark, 0 = unbounded;\n"
+      "                       otherwise at least the round cohort (the tree\n"
+      "                       fan-in under --population)\n"
       "\n"
       "Asynchronous mode (server absorbs updates as they arrive):\n"
       "  --async-strategy S   fedasync | fedbuff | fedcompass — enables the\n"
@@ -99,7 +101,12 @@ void print_help() {
       "  --total-updates N    async update budget (default rounds × clients)\n"
       "  --validate-every K   validate every K applied updates (0 = end only)\n"
       "  --fleet NAME         v100 | a100 | mixed — device fleet (default v100)\n"
-      "                       The async fault model honors --fault-drop only.\n";
+      "                       The async fault model honors --fault-drop only;\n"
+      "                       the other --fault-* flags are rejected.\n"
+      "\n"
+      "APPFL_FAULT_*, APPFL_WIRE_CODEC, APPFL_CKPT_*, APPFL_TREE_FANOUT,\n"
+      "APPFL_MAILBOX_CAP, APPFL_OBS_*, APPFL_ASYNC_* and APPFL_KERNEL_* override\n"
+      "the matching flags (APPFL_KERNEL_* only while the flag is unset).\n";
 }
 
 }  // namespace
@@ -190,11 +197,9 @@ int main(int argc, char** argv) {
       return 2;
     }
     const std::string codec = args.get_string("codec", "none");
-    if (codec == "fp16") cfg.uplink_codec = appfl::comm::UplinkCodec::kFp16;
-    else if (codec == "quant8") cfg.uplink_codec = appfl::comm::UplinkCodec::kQuant8;
-    else if (codec == "topk") cfg.uplink_codec = appfl::comm::UplinkCodec::kTopK;
-    else if (codec == "int8") cfg.uplink_codec = appfl::comm::UplinkCodec::kInt8Ef;
-    else if (codec != "none") {
+    if (const auto parsed = appfl::comm::parse_uplink_codec(codec)) {
+      cfg.uplink_codec = *parsed;
+    } else {
       std::cerr << "unknown --codec '" << codec << "'\n";
       return 2;
     }
@@ -513,9 +518,17 @@ int main(int argc, char** argv) {
       return 2;
     }
 
+    // APPFL_* run overrides are resolved here, once; the library never
+    // reads the environment.
+    if (async_mode) {
+      async_cfg.run = cfg;
+      appfl::core::apply_env(async_cfg);
+    } else {
+      appfl::core::apply_env(cfg);
+    }
+
     // -- Run (population engine) -------------------------------------------
     if (population_mode) {
-      cfg = appfl::core::scaling_config_from_env(cfg);
       appfl::data::FemnistSpec spec;
       spec.num_writers = cfg.population;
       spec.mean_samples_per_writer = per_client;
@@ -579,7 +592,6 @@ int main(int argc, char** argv) {
 
     // -- Run (async) -------------------------------------------------------
     if (async_mode) {
-      async_cfg.run = cfg;
       std::cout << "appfl_cli: async " << async_strategy_name << " ("
                 << staleness_weight_name << " staleness weighting) on "
                 << split.name << " (" << split.num_clients() << " clients, "
@@ -674,7 +686,7 @@ int main(int argc, char** argv) {
               << " KiB, downlink: " << result.traffic.bytes_down / 1024
               << " KiB, simulated comm: " << fmt(result.sim_comm_seconds, 2)
               << " s\n";
-    if (appfl::comm::fault_config_from_env(cfg.faults).enabled()) {
+    if (cfg.faults.enabled()) {
       const auto& t = result.traffic;
       std::cout << "faults: drops=" << t.drops << " dups=" << t.duplicates
                 << " reorders=" << t.reorders << " corruptions="

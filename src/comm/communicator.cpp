@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -31,20 +29,13 @@ std::string to_string(UplinkCodec codec) {
   return "?";
 }
 
-UplinkCodec uplink_codec_from_env(UplinkCodec base) {
-  const char* env = std::getenv("APPFL_WIRE_CODEC");
-  if (env == nullptr || *env == '\0') return base;
-  const std::string v(env);
-  if (v == "none") return UplinkCodec::kNone;
-  if (v == "fp16") return UplinkCodec::kFp16;
-  if (v == "quant8") return UplinkCodec::kQuant8;
-  if (v == "topk") return UplinkCodec::kTopK;
-  if (v == "int8") return UplinkCodec::kInt8Ef;
-  std::fprintf(stderr,
-               "appfl: ignoring invalid APPFL_WIRE_CODEC='%s' "
-               "(expected none|fp16|quant8|topk|int8)\n",
-               env);
-  return base;
+std::optional<UplinkCodec> parse_uplink_codec(std::string_view name) {
+  for (const UplinkCodec c : {UplinkCodec::kNone, UplinkCodec::kFp16,
+                              UplinkCodec::kQuant8, UplinkCodec::kTopK,
+                              UplinkCodec::kInt8Ef}) {
+    if (name == to_string(c)) return c;
+  }
+  return std::nullopt;
 }
 
 namespace {

@@ -21,6 +21,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "comm/buffer_pool.hpp"
@@ -53,12 +54,9 @@ enum class UplinkCodec : std::uint8_t {
 
 std::string to_string(UplinkCodec codec);
 
-/// APPFL_WIRE_CODEC env override of the configured uplink codec
-/// (none | fp16 | quant8 | topk | int8). Returns `base` when the variable is
-/// unset; an unrecognized value warns on stderr and keeps `base`, mirroring
-/// fault_config_from_env. Callers must re-validate the run configuration
-/// when the override changes the codec.
-UplinkCodec uplink_codec_from_env(UplinkCodec base);
+/// Parses a to_string name (none | fp16 | quant8 | topk | int8); nullopt on
+/// anything else.
+std::optional<UplinkCodec> parse_uplink_codec(std::string_view name);
 
 struct CodecConfig {
   UplinkCodec codec = UplinkCodec::kNone;

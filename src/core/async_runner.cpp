@@ -89,6 +89,17 @@ std::size_t resolve_total_updates(const AsyncConfig& config,
   return total;
 }
 
+/// The async schedules model uplink loss only (a lost arrival is simply
+/// re-dispatched). Any other fault kind would be silently ignored, so it is
+/// rejected at run start instead.
+void require_drop_only(const comm::FaultConfig& faults, const char* runner) {
+  comm::FaultConfig others = faults;
+  others.drop = 0.0;
+  APPFL_CHECK_MSG(!others.enabled(),
+                  runner << " simulates only faults.drop; duplicate, reorder, "
+                            "corrupt, delay and dead faults are not modelled");
+}
+
 }  // namespace
 
 AsyncRunResult run_async(const AsyncConfig& config,
@@ -96,6 +107,7 @@ AsyncRunResult run_async(const AsyncConfig& config,
   RunConfig cfg = config.run;
   cfg.algorithm = Algorithm::kFedAvg;  // async mixing is server-side
   cfg.validate();
+  require_drop_only(cfg.faults, "run_async");
   APPFL_CHECK_MSG(cfg.population == 0,
                   "population sampling is a run_population feature; the "
                   "async runner drives the split's clients directly");
@@ -120,10 +132,8 @@ AsyncRunResult run_async(const AsyncConfig& config,
     seconds_per_step[p] = devices[p % devices.size()].seconds_for(
         flops_one_pass * static_cast<double>(split.clients[p].size()));
   }
-  const AsyncStrategyOptions strat_opts =
-      async_strategy_options_from_env(config.strategy);
   std::unique_ptr<AsyncStrategy> strategy = AsyncStrategy::make(
-      strat_opts, config.mixing_alpha, cfg.local_steps, seconds_per_step);
+      config.strategy, config.mixing_alpha, cfg.local_steps, seconds_per_step);
 
   std::vector<std::unique_ptr<BaseClient>> clients;
   clients.reserve(num_clients);
@@ -142,8 +152,6 @@ AsyncRunResult run_async(const AsyncConfig& config,
   rng::Rng jitter(rng::derive_seed(cfg.seed, {0xA5, 1}));
   // Drop faults get their own stream so fault-free runs stay bit-identical
   // to pre-fault builds (the stream is never drawn from when drop == 0).
-  const comm::FaultConfig faults = comm::fault_config_from_env(cfg.faults);
-  faults.validate();
   rng::Rng drop_rng(rng::derive_seed(cfg.seed, {0xA5, 4}));
 
   // Simulated duration of one dispatch for client p (compute + 2× link).
@@ -188,19 +196,18 @@ AsyncRunResult run_async(const AsyncConfig& config,
   result.strategy = strategy->name();
   double staleness_sum = 0.0;
 
-  const CheckpointOptions ckpt = checkpoint_options_from_env(cfg);
   std::optional<CheckpointStore> store;
-  if (!ckpt.dir.empty()) store.emplace(ckpt.dir);
-  if (!ckpt.resume_from.empty()) {
+  if (!cfg.checkpoint_dir.empty()) store.emplace(cfg.checkpoint_dir);
+  if (!cfg.resume_from.empty()) {
     APPFL_SPAN("ckpt.restore", "ckpt");
     std::optional<CheckpointStore> separate;
     CheckpointStore& resume_store =
-        store && ckpt.resume_from == ckpt.dir
+        store && cfg.resume_from == cfg.checkpoint_dir
             ? *store
-            : separate.emplace(ckpt.resume_from);
+            : separate.emplace(cfg.resume_from);
     const std::optional<AsyncCheckpoint> ac =
         load_latest_async_checkpoint(resume_store);
-    APPFL_CHECK_MSG(ac.has_value(), "resume_from='" << ckpt.resume_from
+    APPFL_CHECK_MSG(ac.has_value(), "resume_from='" << cfg.resume_from
                         << "' holds no loadable async checkpoint");
     APPFL_CHECK_MSG(
         ac->seed == cfg.seed && ac->num_clients == num_clients &&
@@ -248,7 +255,7 @@ AsyncRunResult run_async(const AsyncConfig& config,
     queue.pop();
     const std::size_t p = next.client - 1;
 
-    if (faults.drop > 0.0 && drop_rng.uniform01() < faults.drop) {
+    if (cfg.faults.drop > 0.0 && drop_rng.uniform01() < cfg.faults.drop) {
       // The uplink lost this result. Async FL's retransmit is simply the
       // next dispatch: the client restarts from the current w (so the
       // redone work is never staler than the original would have been).
@@ -303,7 +310,8 @@ AsyncRunResult run_async(const AsyncConfig& config,
 
     const bool halt_here = cfg.halt_after_round > 0 &&
                            result.applied_updates == cfg.halt_after_round;
-    if (store && (result.applied_updates % ckpt.every == 0 ||
+    const std::size_t every = cfg.checkpoint_every_n_rounds;
+    if (store && (result.applied_updates % every == 0 ||
                   result.applied_updates == total_updates || halt_here)) {
       APPFL_SPAN("ckpt.save", "ckpt");
       AsyncCheckpoint ac;
@@ -331,7 +339,7 @@ AsyncRunResult run_async(const AsyncConfig& config,
       ac.strategy = result.strategy;
       strategy->export_state(ac);
       ac.dropped_updates = result.dropped_updates;
-      if (faults.drop > 0.0) ac.fault_rng = drop_rng.state();
+      if (cfg.faults.drop > 0.0) ac.fault_rng = drop_rng.state();
       save_async_checkpoint(*store, ac);
       ++result.checkpoints_written;
     }
@@ -366,6 +374,9 @@ AsyncIIAdmmResult run_async_iiadmm(const AsyncConfig& config,
   RunConfig cfg = config.run;
   cfg.algorithm = Algorithm::kIIAdmm;
   cfg.validate();
+  APPFL_CHECK_MSG(!cfg.faults.enabled(),
+                  "run_async_iiadmm simulates no network faults; set every "
+                  "faults field to zero");
   APPFL_CHECK_MSG(cfg.population == 0,
                   "population sampling is a run_population feature; the "
                   "async runner drives the split's clients directly");
@@ -454,19 +465,18 @@ AsyncIIAdmmResult run_async_iiadmm(const AsyncConfig& config,
   // Checkpoint/halt honor the same contract as run_async: the server's
   // (z_p, λ_p) replicas and the w_sent snapshots ride in the checkpoint's
   // ADMM fields, tagged strategy="iiadmm" so cross-runner resumes fail fast.
-  const CheckpointOptions ckpt = checkpoint_options_from_env(cfg);
   std::optional<CheckpointStore> store;
-  if (!ckpt.dir.empty()) store.emplace(ckpt.dir);
-  if (!ckpt.resume_from.empty()) {
+  if (!cfg.checkpoint_dir.empty()) store.emplace(cfg.checkpoint_dir);
+  if (!cfg.resume_from.empty()) {
     APPFL_SPAN("ckpt.restore", "ckpt");
     std::optional<CheckpointStore> separate;
     CheckpointStore& resume_store =
-        store && ckpt.resume_from == ckpt.dir
+        store && cfg.resume_from == cfg.checkpoint_dir
             ? *store
-            : separate.emplace(ckpt.resume_from);
+            : separate.emplace(cfg.resume_from);
     const std::optional<AsyncCheckpoint> ac =
         load_latest_async_checkpoint(resume_store);
-    APPFL_CHECK_MSG(ac.has_value(), "resume_from='" << ckpt.resume_from
+    APPFL_CHECK_MSG(ac.has_value(), "resume_from='" << cfg.resume_from
                         << "' holds no loadable async checkpoint");
     APPFL_CHECK_MSG(
         ac->seed == cfg.seed && ac->num_clients == num_clients &&
@@ -543,7 +553,8 @@ AsyncIIAdmmResult run_async_iiadmm(const AsyncConfig& config,
     const bool halt_here =
         cfg.halt_after_round > 0 &&
         result.base.applied_updates == cfg.halt_after_round;
-    if (store && (result.base.applied_updates % ckpt.every == 0 ||
+    const std::size_t every = cfg.checkpoint_every_n_rounds;
+    if (store && (result.base.applied_updates % every == 0 ||
                   result.base.applied_updates == total_updates || halt_here)) {
       APPFL_SPAN("ckpt.save", "ckpt");
       AsyncCheckpoint ac;
@@ -607,6 +618,7 @@ SyncBaselineResult run_sync_baseline(const AsyncConfig& config,
   RunConfig cfg = config.run;
   cfg.algorithm = Algorithm::kFedAvg;
   cfg.validate();
+  require_drop_only(cfg.faults, "run_sync_baseline");
   const std::size_t num_clients = split.clients.size();
   std::vector<hw::DeviceProfile> devices = config.devices;
   if (devices.empty()) devices.push_back(hw::v100());
@@ -623,8 +635,6 @@ SyncBaselineResult run_sync_baseline(const AsyncConfig& config,
   // barrier releases (the sync runner's recovery path); the drop stream is
   // separate so fault-free baselines stay bit-identical.
   rng::Rng jitter(rng::derive_seed(cfg.seed, {0xA5, 2}));
-  const comm::FaultConfig faults = comm::fault_config_from_env(cfg.faults);
-  faults.validate();
   rng::Rng drop_rng(rng::derive_seed(cfg.seed, {0xA5, 5}));
   auto prototype = build_model(cfg, split.test);
   const double flops_one_pass = 3.0 * prototype->forward_flops(1);
@@ -646,8 +656,8 @@ SyncBaselineResult run_sync_baseline(const AsyncConfig& config,
                      static_cast<double>(cfg.local_steps)) +
                  net.transfer_seconds(payload, jitter) +
                  net.transfer_seconds(payload, jitter);
-      if (faults.drop > 0.0) {
-        while (drop_rng.uniform01() < faults.drop) {
+      if (cfg.faults.drop > 0.0) {
+        while (drop_rng.uniform01() < cfg.faults.drop) {
           times[p] += cfg.ack_timeout_s + net.transfer_seconds(payload, jitter);
         }
       }

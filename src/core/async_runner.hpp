@@ -20,6 +20,8 @@
 // FaultConfig has a positive drop rate, arrivals are dropped from their own
 // deterministic RNG stream and the client re-dispatched — async FL's
 // natural retransmit — with the loss counted in dropped_updates.
+// run_async and run_sync_baseline reject every other fault kind at run
+// start; run_async_iiadmm models no faults and rejects any.
 #pragma once
 
 #include <string>

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "comm/message.hpp"
 #include "core/aggregate.hpp"
@@ -48,56 +46,6 @@ void AsyncStrategyOptions::validate() const {
   APPFL_CHECK_MSG(buffer_k >= 1, "FedBuff buffer_k must be >= 1");
   APPFL_CHECK_MSG(buffer_k <= 4096, "FedBuff buffer_k " << buffer_k
                                         << " is implausibly large (max 4096)");
-}
-
-AsyncStrategyOptions async_strategy_options_from_env(
-    const AsyncStrategyOptions& base) {
-  AsyncStrategyOptions opts = base;
-  if (const char* value = std::getenv("APPFL_ASYNC_STRATEGY")) {
-    if (const auto kind = parse_async_strategy(value)) {
-      opts.kind = *kind;
-    } else {
-      std::fprintf(stderr,
-                   "warning: ignoring invalid APPFL_ASYNC_STRATEGY='%s' "
-                   "(need fedasync|fedbuff|fedcompass)\n",
-                   value);
-    }
-  }
-  if (const char* value = std::getenv("APPFL_ASYNC_STALENESS_WEIGHT")) {
-    if (const auto weight = parse_staleness_weight(value)) {
-      opts.weight = *weight;
-    } else {
-      std::fprintf(stderr,
-                   "warning: ignoring invalid APPFL_ASYNC_STALENESS_WEIGHT="
-                   "'%s' (need constant|polynomial|hinge)\n",
-                   value);
-    }
-  }
-  if (const char* value = std::getenv("APPFL_ASYNC_BUFFER_K")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || parsed < 1) {
-      std::fprintf(stderr,
-                   "warning: ignoring invalid APPFL_ASYNC_BUFFER_K='%s' "
-                   "(need a positive integer)\n",
-                   value);
-    } else {
-      opts.buffer_k = static_cast<std::size_t>(parsed);
-    }
-  }
-  if (const char* value = std::getenv("APPFL_ASYNC_HINGE_S0")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || parsed < 0) {
-      std::fprintf(stderr,
-                   "warning: ignoring invalid APPFL_ASYNC_HINGE_S0='%s' "
-                   "(need a non-negative integer)\n",
-                   value);
-    } else {
-      opts.hinge_s0 = static_cast<std::size_t>(parsed);
-    }
-  }
-  return opts;
 }
 
 float AsyncStrategy::staleness_weight(std::size_t staleness) const {

@@ -61,9 +61,7 @@ std::string to_string(StalenessWeight w);
 std::optional<AsyncStrategyKind> parse_async_strategy(std::string_view name);
 std::optional<StalenessWeight> parse_staleness_weight(std::string_view name);
 
-/// The async-plane strategy knobs carried by AsyncConfig. APPFL_ASYNC_*
-/// environment variables override them at run start (warn-and-ignore on
-/// garbage, like APPFL_FAULT_* / APPFL_CKPT_*).
+/// The async-plane strategy knobs carried by AsyncConfig.
 struct AsyncStrategyOptions {
   AsyncStrategyKind kind = AsyncStrategyKind::kFedAsync;
   StalenessWeight weight = StalenessWeight::kPolynomial;
@@ -73,12 +71,6 @@ struct AsyncStrategyOptions {
   /// Throws appfl::Error on inconsistent settings (e.g. buffer_k == 0).
   void validate() const;
 };
-
-/// Returns `base` with APPFL_ASYNC_STRATEGY, APPFL_ASYNC_STALENESS_WEIGHT,
-/// APPFL_ASYNC_BUFFER_K, and APPFL_ASYNC_HINGE_S0 overrides applied.
-/// Unparseable values are warned about on stderr and ignored.
-AsyncStrategyOptions async_strategy_options_from_env(
-    const AsyncStrategyOptions& base);
 
 class AsyncStrategy {
  public:

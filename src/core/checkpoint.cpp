@@ -438,7 +438,10 @@ RoundCheckpoint decode_round_checkpoint(std::span<const std::uint8_t> bytes) {
   std::vector<std::uint64_t> sampler;
   bool have_server = false;
   bool have_comm = false;
-  std::optional<std::uint32_t> pending_participation;
+  // A participation id waiting for its count. Two plain fields rather than
+  // an optional: GCC 12 misreads the optional's payload as uninitialized.
+  bool have_pending_id = false;
+  std::uint32_t pending_id = 0;
   comm::ProtoReader r(body);
   comm::ProtoField f;
   while (r.next(f)) {
@@ -477,21 +480,22 @@ RoundCheckpoint decode_round_checkpoint(std::span<const std::uint8_t> bytes) {
         ckpt.participants_per_round = static_cast<std::uint32_t>(f.varint);
         break;
       case kTParticipationId:
-        APPFL_CHECK_MSG(!pending_participation,
+        APPFL_CHECK_MSG(!have_pending_id,
                         "participation id without a following count");
-        pending_participation = static_cast<std::uint32_t>(f.varint);
+        pending_id = static_cast<std::uint32_t>(f.varint);
+        have_pending_id = true;
         break;
       case kTParticipationCount:
-        APPFL_CHECK_MSG(pending_participation,
+        APPFL_CHECK_MSG(have_pending_id,
                         "participation count without a preceding id");
-        ckpt.participation.emplace_back(
-            *pending_participation, static_cast<std::uint32_t>(f.varint));
-        pending_participation.reset();
+        ckpt.participation.emplace_back(pending_id,
+                                        static_cast<std::uint32_t>(f.varint));
+        have_pending_id = false;
         break;
       default: break;  // forward compatibility
     }
   }
-  APPFL_CHECK_MSG(!pending_participation,
+  APPFL_CHECK_MSG(!have_pending_id,
                   "participation id without a following count");
   APPFL_CHECK_MSG(ckpt.format_version == kRoundCkptVersion,
                   "unsupported round-checkpoint version "

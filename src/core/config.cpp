@@ -1,11 +1,9 @@
 #include "core/config.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <string_view>
 
 #include "dp/sensitivity.hpp"
+#include "obs/obs.hpp"
 #include "util/check.hpp"
 
 namespace appfl::core {
@@ -175,82 +173,6 @@ void RunConfig::validate() const {
                   "health_out requires obs_level=metrics or trace");
   APPFL_CHECK_MSG(flight_dir.empty() || lv >= obs::Level::kMetrics,
                   "flight_dir requires obs_level=metrics or trace");
-}
-
-CheckpointOptions checkpoint_options_from_env(const RunConfig& config) {
-  CheckpointOptions opts;
-  opts.dir = config.checkpoint_dir;
-  opts.every = config.checkpoint_every_n_rounds;
-  opts.resume_from = config.resume_from;
-  if (const char* value = std::getenv("APPFL_CKPT_DIR")) opts.dir = value;
-  if (const char* value = std::getenv("APPFL_CKPT_RESUME")) {
-    opts.resume_from = value;
-  }
-  if (const char* value = std::getenv("APPFL_CKPT_EVERY")) {
-    // Same convention as APPFL_FAULT_*: garbage (non-numeric, zero, or
-    // negative) is warned about and ignored instead of silently read as 0 —
-    // a cadence of 0 would otherwise divide-by-zero or mean "never".
-    char* end = nullptr;
-    const long parsed = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || parsed < 1) {
-      std::fprintf(stderr,
-                   "warning: ignoring invalid APPFL_CKPT_EVERY='%s' "
-                   "(need a positive integer)\n",
-                   value);
-    } else {
-      opts.every = static_cast<std::size_t>(parsed);
-    }
-  }
-  return opts;
-}
-
-bool fused_aggregation_from_env(const RunConfig& config) {
-  bool fused = config.fused_aggregation;
-  if (const char* value = std::getenv("APPFL_FUSED_AGG")) {
-    if (value == std::string_view("0")) {
-      fused = false;
-    } else if (value == std::string_view("1")) {
-      fused = true;
-    } else {
-      std::fprintf(stderr,
-                   "warning: ignoring invalid APPFL_FUSED_AGG='%s' "
-                   "(need 0 or 1)\n",
-                   value);
-    }
-  }
-  return fused;
-}
-
-RunConfig scaling_config_from_env(RunConfig config) {
-  const auto env_size = [](const char* name, std::size_t& field) {
-    const char* value = std::getenv(name);
-    if (!value) return;
-    char* end = nullptr;
-    const long parsed = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || parsed < 0) {
-      std::fprintf(stderr,
-                   "warning: ignoring invalid %s='%s' "
-                   "(need a non-negative integer)\n",
-                   name, value);
-      return;
-    }
-    field = static_cast<std::size_t>(parsed);
-  };
-  env_size("APPFL_TREE_FANOUT", config.tree_fan_out);
-  env_size("APPFL_MAILBOX_CAP", config.mailbox_capacity);
-  return config;
-}
-
-obs::ObsOptions obs_options_from_env(const RunConfig& config) {
-  obs::ObsOptions opts;
-  if (const auto lv = obs::parse_level(config.obs_level)) opts.level = *lv;
-  opts.trace_out = config.trace_out;
-  opts.metrics_out = config.metrics_out;
-  opts.health_out = config.health_out;
-  opts.critpath_out = config.critpath_out;
-  opts.flight_dir = config.flight_dir;
-  obs::apply_env_overrides(opts);
-  return opts;
 }
 
 }  // namespace appfl::core

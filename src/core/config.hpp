@@ -9,7 +9,6 @@
 
 #include "comm/communicator.hpp"
 #include "nn/sgd.hpp"
-#include "obs/obs.hpp"
 
 namespace appfl::core {
 
@@ -38,6 +37,9 @@ enum class DpMode {
 
 std::string to_string(DpMode m);
 
+/// Everything one run reads. Library code never consults the process
+/// environment: an entry point that honors APPFL_* overrides applies them to
+/// this struct once, before the run (core/env.hpp).
 struct RunConfig {
   Algorithm algorithm = Algorithm::kFedAvg;
   ModelKind model = ModelKind::kMlp;
@@ -86,14 +88,6 @@ struct RunConfig {
   comm::UplinkCodec uplink_codec = comm::UplinkCodec::kNone;
   double topk_fraction = 0.1;
 
-  /// Fused decode→aggregate data path: the server consumes gathered wire
-  /// payloads directly (BaseServer::absorb) instead of materializing every
-  /// client update into an owning Message first. Bit-identical to the
-  /// unfused path by construction; servers that cannot fuse a given round
-  /// (e.g. adaptive ρ) fall back transparently. APPFL_FUSED_AGG=0/1
-  /// overrides at run start (invalid values are warned about and ignored).
-  bool fused_aggregation = true;
-
   /// FedAvg aggregation weights: I_p/I when true (objective (1)), 1/P when
   /// false (Algorithm 1's plain average). IADMM servers always use 1/P.
   bool weighted_aggregation = true;
@@ -120,14 +114,15 @@ struct RunConfig {
   /// (every participant feeds the server root directly), F >= 2 = a
   /// leader/sub-leader tree with F children per node (core/agg_tree.hpp).
   /// Routing and simulated cost change; the reduced model is byte-identical
-  /// either way. APPFL_TREE_FANOUT overrides at run start.
+  /// either way.
   std::size_t tree_fan_out = 0;
 
   /// Per-mailbox high-water mark handed to the communicator / engine
   /// network (0 = unbounded; see comm::ReliabilityConfig::mailbox_capacity).
-  /// APPFL_MAILBOX_CAP overrides at run start. The population engine
-  /// requires 0 or >= the tree's maximum fan-in, so backpressure can never
-  /// decide which participant's update survives.
+  /// A nonzero cap must clear the worst-case fan-in — the round cohort in
+  /// the sync runner, the tree's maximum fan-in in the population engine —
+  /// so backpressure can never decide which participant's update survives,
+  /// nor leave a fault-free gather waiting for an update that overflowed.
   std::size_t mailbox_capacity = 0;
 
   /// Dropout-resilient secure aggregation (dp/secure_agg.hpp): clients
@@ -151,9 +146,9 @@ struct RunConfig {
   /// Fault injection on the in-process network (comm robustness plane).
   /// All-zero (the default) keeps the injector off; wire bytes, sim-clock
   /// times, and results are then bit-identical to a fault-free build.
-  /// APPFL_FAULT_* environment variables override these at run start (see
-  /// comm::fault_config_from_env). Client endpoint ids listed in
-  /// faults.dead are permanently failed.
+  /// Client endpoint ids listed in faults.dead are permanently failed. The
+  /// async runners reject the fault kinds they do not model (run_async and
+  /// run_sync_baseline model drop only, run_async_iiadmm none).
   comm::FaultConfig faults;
   /// Sim-seconds the server's deadline gather waits before proceeding with
   /// whatever arrived (fault plane only).
@@ -169,9 +164,7 @@ struct RunConfig {
   /// the directory's A/B slot store every checkpoint_every_n_rounds rounds.
   /// resume_from names a store directory whose newest valid checkpoint is
   /// restored before the first round — the resumed run continues to a
-  /// bit-identical final model. APPFL_CKPT_DIR / APPFL_CKPT_EVERY /
-  /// APPFL_CKPT_RESUME override these at run start (unparseable values are
-  /// warned about on stderr and ignored, like APPFL_FAULT_*).
+  /// bit-identical final model.
   std::string checkpoint_dir;
   std::size_t checkpoint_every_n_rounds = 1;
   std::string resume_from;
@@ -183,8 +176,7 @@ struct RunConfig {
   std::size_t halt_after_round = 0;
 
   /// Kernel execution engine (tensor substrate). "auto" leaves the
-  /// process-wide setting untouched (env APPFL_KERNEL_BACKEND, default
-  /// tiled); "reference" forces the scalar baseline loops, "tiled" the
+  /// process-wide setting untouched (default tiled); "reference" forces the scalar baseline loops, "tiled" the
   /// packed parallel GEMM. kernel_threads 0 = keep current (default:
   /// hardware concurrency). The runner applies these once per run; the
   /// kernel pool is shared process-wide and nested inside the runner's
@@ -198,17 +190,13 @@ struct RunConfig {
   /// histograms only), "trace" (metrics plus per-phase spans exported as
   /// Chrome trace JSON). trace_out names the trace file (requires "trace");
   /// metrics_out names a JSONL stream with one line per round plus a final
-  /// summary (requires at least "metrics"). APPFL_OBS_LEVEL /
-  /// APPFL_OBS_TRACE_OUT / APPFL_OBS_METRICS_OUT override these at run
-  /// start; invalid values are warned about on stderr and ignored, like
-  /// APPFL_FAULT_* and APPFL_CKPT_*. The plane only reads clocks and
+  /// summary (requires at least "metrics"). The plane only reads clocks and
   /// counters — never RNG, sim time, or wire bytes — so enabling it does
   /// not change results.
   std::string obs_level = "off";
   std::string trace_out;
   std::string metrics_out;
-  /// Causal-analysis outputs (same level rules, same APPFL_OBS_* override
-  /// convention): health_out writes the per-client health ledger CSV at end
+  /// Causal-analysis outputs (same level rules): health_out writes the per-client health ledger CSV at end
   /// of run (requires at least "metrics"); critpath_out writes the
   /// critical-path analyzer's per-round JSONL plus a `.csv` sibling
   /// (requires "trace" — the analyzer consumes span records); flight_dir
@@ -225,35 +213,5 @@ struct RunConfig {
   /// Throws appfl::Error on inconsistent settings.
   void validate() const;
 };
-
-/// Checkpoint policy after APPFL_CKPT_* environment overrides.
-struct CheckpointOptions {
-  std::string dir;          // empty ⇒ checkpointing off
-  std::size_t every = 1;    // save cadence in rounds (>= 1)
-  std::string resume_from;  // empty ⇒ fresh start
-};
-
-/// Resolves the run's checkpoint policy: config fields overridden by
-/// APPFL_CKPT_DIR, APPFL_CKPT_EVERY (positive integer), APPFL_CKPT_RESUME.
-/// Unparseable env values are warned about on stderr and ignored, matching
-/// the APPFL_FAULT_* convention.
-CheckpointOptions checkpoint_options_from_env(const RunConfig& config);
-
-/// Resolves whether the fused decode→aggregate path is enabled:
-/// config.fused_aggregation overridden by APPFL_FUSED_AGG (0 or 1; anything
-/// else is warned about on stderr and ignored, matching APPFL_FAULT_*).
-bool fused_aggregation_from_env(const RunConfig& config);
-
-/// Returns `config` with APPFL_TREE_FANOUT / APPFL_MAILBOX_CAP applied
-/// (non-negative integers; unparseable values are warned about on stderr
-/// and ignored, matching APPFL_FAULT_*). Callers re-validate afterwards.
-RunConfig scaling_config_from_env(RunConfig config);
-
-/// Resolves the run's observability policy: config fields (obs_level /
-/// trace_out / metrics_out) overridden by APPFL_OBS_LEVEL /
-/// APPFL_OBS_TRACE_OUT / APPFL_OBS_METRICS_OUT. Assumes config.validate()
-/// passed, so config.obs_level parses; env values are warned about on
-/// stderr and ignored when invalid.
-obs::ObsOptions obs_options_from_env(const RunConfig& config);
 
 }  // namespace appfl::core

@@ -117,9 +117,8 @@ PopulationRunResult run_population(const RunConfig& config,
   const auto leader_endpoint = [k](std::size_t g) {
     return static_cast<std::uint32_t>(1 + k + g);
   };
-  const comm::FaultConfig faults = comm::fault_config_from_env(config.faults);
-  const bool faults_on = faults.enabled();
-  comm::InProcNetwork net(1 + k + num_groups, faults,
+  const bool faults_on = config.faults.enabled();
+  comm::InProcNetwork net(1 + k + num_groups, config.faults,
                           rng::derive_seed(config.seed, {kNetStream}),
                           config.mailbox_capacity);
   const std::size_t env_overhead = faults_on ? comm::kEnvelopeOverhead : 0;
@@ -172,24 +171,24 @@ PopulationRunResult run_population(const RunConfig& config,
   const double round_epsilon =
       std::isfinite(config.epsilon) ? config.epsilon : 0.0;
 
-  const CheckpointOptions ckpt = checkpoint_options_from_env(config);
   std::optional<CheckpointStore> store;
-  if (!ckpt.dir.empty()) store.emplace(ckpt.dir);
+  if (!config.checkpoint_dir.empty()) store.emplace(config.checkpoint_dir);
 
   std::uint32_t start_round = 1;
-  if (!ckpt.resume_from.empty()) {
+  if (!config.resume_from.empty()) {
     APPFL_SPAN("ckpt.restore", "ckpt");
     obs::flight_record("ckpt.restore");
     std::optional<CheckpointStore> separate;
     CheckpointStore& resume_store =
-        store && ckpt.resume_from == ckpt.dir ? *store
-                                              : separate.emplace(ckpt.resume_from);
+        store && config.resume_from == config.checkpoint_dir
+            ? *store
+            : separate.emplace(config.resume_from);
     const std::optional<RoundCheckpoint> rc =
         load_latest_round_checkpoint(resume_store);
     for (const std::string& diag : resume_store.report().diagnostics) {
       std::fprintf(stderr, "warning: checkpoint recovery: %s\n", diag.c_str());
     }
-    APPFL_CHECK_MSG(rc.has_value(), "resume_from='" << ckpt.resume_from
+    APPFL_CHECK_MSG(rc.has_value(), "resume_from='" << config.resume_from
                         << "' holds no loadable checkpoint");
     APPFL_CHECK_MSG(
         rc->seed == config.seed && rc->num_clients == n &&
@@ -858,7 +857,8 @@ PopulationRunResult run_population(const RunConfig& config,
     const bool halt_here =
         config.halt_after_round > 0 && round == config.halt_after_round;
     if (store &&
-        (round % ckpt.every == 0 || round == config.rounds || halt_here)) {
+        (round % config.checkpoint_every_n_rounds == 0 ||
+         round == config.rounds || halt_here)) {
       APPFL_SPAN("ckpt.save", "ckpt");
       obs::flight_record("ckpt.save",
                          "{\"round\":" + std::to_string(round) + "}");

@@ -70,7 +70,7 @@ std::uint64_t peak_rss_bytes();
 /// mailbox_capacity). Honors the same checkpoint/halt/obs knobs as
 /// run_federated. Notes vs the flat runner: the downlink is one canonical
 /// encode accounted per participant (uplinks genuinely cross the network;
-/// APPFL_FAULT_* faults therefore act on uplinks only, with dead/drop
+/// config.faults therefore act on uplinks only, with dead/drop
 /// entries keyed by participant SLOT endpoints 1..k, not client ids), and a
 /// client's data-loader position restarts at each participation (clients
 /// are transient by design).

@@ -11,18 +11,22 @@
 namespace appfl::core {
 
 ObsSession::ObsSession(const RunConfig& config)
-    : opts_(obs_options_from_env(config)), previous_(obs::level()) {
-  obs::set_level(opts_.level);
-  if (opts_.level >= obs::Level::kMetrics) {
+    : level_(obs::parse_level(config.obs_level).value_or(obs::Level::kOff)),
+      trace_out_(config.trace_out),
+      health_out_(config.health_out),
+      critpath_out_(config.critpath_out),
+      previous_(obs::level()) {
+  obs::set_level(level_);
+  if (level_ >= obs::Level::kMetrics) {
     // Artifacts describe this run only; instruments are zeroed in place so
     // references cached by hot paths (gemm, communicator) stay valid.
     obs::MetricsRegistry::global().reset();
     obs::Tracer::global().clear();
     obs::FlightRecorder::global().clear();
   }
-  obs::FlightRecorder::global().set_dump_dir(opts_.flight_dir);
-  if (!opts_.flight_dir.empty()) obs::FlightRecorder::install_crash_hooks();
-  if (!opts_.metrics_out.empty()) writer_.emplace(opts_.metrics_out);
+  obs::FlightRecorder::global().set_dump_dir(config.flight_dir);
+  if (!config.flight_dir.empty()) obs::FlightRecorder::install_crash_hooks();
+  if (!config.metrics_out.empty()) writer_.emplace(config.metrics_out);
 }
 
 ObsSession::~ObsSession() { obs::set_level(previous_); }
@@ -94,7 +98,7 @@ void ObsSession::finish(const RunResult& result) {
 void ObsSession::finish() {
   // Tracer self-telemetry (satellite): silent ring overwrites become
   // visible in the end-of-run metrics snapshot, not only via dropped().
-  if (opts_.level >= obs::Level::kMetrics) {
+  if (level_ >= obs::Level::kMetrics) {
     obs::Tracer& tracer = obs::Tracer::global();
     obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
     reg.counter("obs.spans_emitted").add(tracer.emitted());
@@ -114,28 +118,28 @@ void ObsSession::finish() {
         obs::MetricsRegistry::global().snapshot()));
     writer_->flush();
   }
-  if (!opts_.health_out.empty()) {
+  if (!health_out_.empty()) {
     std::string error;
-    if (!health_.write_csv(opts_.health_out, &error)) {
+    if (!health_.write_csv(health_out_, &error)) {
       std::fprintf(stderr, "warning: health CSV export failed: %s\n",
                    error.c_str());
     }
   }
-  if (!opts_.trace_out.empty()) {
+  if (!trace_out_.empty()) {
     std::string error;
-    if (!obs::write_chrome_trace(obs::Tracer::global(), opts_.trace_out,
+    if (!obs::write_chrome_trace(obs::Tracer::global(), trace_out_,
                                  &error)) {
       std::fprintf(stderr, "warning: trace export failed: %s\n",
                    error.c_str());
     }
   }
-  if (!opts_.critpath_out.empty()) {
+  if (!critpath_out_.empty()) {
     const std::vector<obs::RoundCritPath> paths =
         obs::critical_paths(obs::Tracer::global().collect());
     std::string error;
-    if (!obs::write_critpath_jsonl(paths, opts_.critpath_out, &error) ||
+    if (!obs::write_critpath_jsonl(paths, critpath_out_, &error) ||
         !obs::write_critpath_csv(paths,
-                                 obs::critpath_csv_path(opts_.critpath_out),
+                                 obs::critpath_csv_path(critpath_out_),
                                  &error)) {
       std::fprintf(stderr, "warning: critical-path export failed: %s\n",
                    error.c_str());

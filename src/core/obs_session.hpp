@@ -1,5 +1,5 @@
 // Per-run observability session. Owns the lifecycle the runners share:
-// resolve the run's ObsOptions (config fields, then APPFL_OBS_* overrides),
+// read the run's obs level and output paths from its (validated) config,
 // raise the process-wide level for the duration of the run, clear the global
 // tracer and metrics registry so artifacts describe THIS run, stream one
 // JSONL line per round, and at the end write the summary + metrics lines and
@@ -17,6 +17,7 @@
 #pragma once
 
 #include <optional>
+#include <string>
 
 #include "core/config.hpp"
 #include "core/runner.hpp"
@@ -34,10 +35,7 @@ class ObsSession {
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
 
-  const obs::ObsOptions& options() const { return opts_; }
-  bool metrics_enabled() const {
-    return opts_.level >= obs::Level::kMetrics;
-  }
+  bool metrics_enabled() const { return level_ >= obs::Level::kMetrics; }
   /// True when a JSONL stream is open — callers can skip building lines.
   bool streaming() const { return writer_.has_value() && writer_->ok(); }
 
@@ -64,7 +62,10 @@ class ObsSession {
   void finish();
 
  private:
-  obs::ObsOptions opts_;
+  obs::Level level_ = obs::Level::kOff;
+  std::string trace_out_;
+  std::string health_out_;
+  std::string critpath_out_;
   obs::Level previous_ = obs::Level::kOff;
   std::optional<obs::JsonlWriter> writer_;
   obs::HealthLedger health_;

@@ -163,28 +163,27 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
   APPFL_CHECK(num_clients >= 1);
   APPFL_CHECK(server.num_clients() == num_clients);
 
+  // Backpressure must never decide which update survives: a fault-free
+  // gather waits for every participant, so an overflowed update would hang
+  // the round. Same rule as the population engine's fan-in check.
+  const std::size_t cohort =
+      fraction_cohort(num_clients, config.client_fraction);
+  APPFL_CHECK_MSG(config.mailbox_capacity == 0 ||
+                      config.mailbox_capacity >= cohort,
+                  "mailbox_capacity " << config.mailbox_capacity
+                      << " is below the round cohort of " << cohort
+                      << " — overflow would drop participant updates");
+
   comm::ReliabilityConfig reliability;
-  // Env overrides let fault campaigns wrap any existing binary unchanged.
-  reliability.faults = comm::fault_config_from_env(config.faults);
+  reliability.faults = config.faults;
   reliability.gather_timeout_s = config.gather_timeout_s;
   reliability.ack_timeout_s = config.ack_timeout_s;
   reliability.backoff_cap_s =
       std::max(config.ack_timeout_s, reliability.backoff_cap_s);
   reliability.max_retries = config.max_uplink_retries;
   reliability.mailbox_capacity = config.mailbox_capacity;
-  // APPFL_WIRE_CODEC swaps the uplink codec without rebuilding the binary
-  // (codec sweeps over existing benches). The env value bypasses the
-  // caller's validate(), so the combination is re-checked here — an fp16
-  // override on an ADMM run must fail just like a configured one.
-  const comm::UplinkCodec wire_codec =
-      comm::uplink_codec_from_env(config.uplink_codec);
-  if (wire_codec != config.uplink_codec) {
-    RunConfig overridden = config;
-    overridden.uplink_codec = wire_codec;
-    overridden.validate();
-  }
-  comm::CodecConfig codec_config{wire_codec, config.topk_fraction};
-  if (wire_codec == comm::UplinkCodec::kInt8Ef && config.clip > 0.0F) {
+  comm::CodecConfig codec_config{config.uplink_codec, config.topk_fraction};
+  if (config.uplink_codec == comm::UplinkCodec::kInt8Ef && config.clip > 0.0F) {
     // Clip the pre-quantization deltas to the DP sensitivity bound — the
     // largest honest per-round displacement — so one outlier coordinate
     // cannot blow up a whole block's quantization scale.
@@ -193,7 +192,6 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
   comm::Communicator comm(config.protocol, num_clients,
                           rng::derive_seed(config.seed, {77}), codec_config,
                           reliability);
-  const bool fused_aggregation = fused_aggregation_from_env(config);
   util::ThreadPool pool;
   rng::Rng sampler(rng::derive_seed(config.seed, {78}));
 
@@ -208,9 +206,8 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
 
   // Crash recovery: an empty dir keeps every path below untouched, so a
   // checkpoint-free run stays bit-identical to a pre-checkpoint build.
-  const CheckpointOptions ckpt = checkpoint_options_from_env(config);
   std::optional<CheckpointStore> store;
-  if (!ckpt.dir.empty()) store.emplace(ckpt.dir);
+  if (!config.checkpoint_dir.empty()) store.emplace(config.checkpoint_dir);
   dp::PrivacyAccountant accountant(num_clients);
   // ε is spent once per round by each client that releases an update
   // (basic composition); ε = ∞ rounds are accounted as zero leakage.
@@ -221,7 +218,7 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
   std::vector<comm::Communicator::UplinkHealth> prev_uplink;
 
   std::uint32_t start_round = 1;
-  if (!ckpt.resume_from.empty()) {
+  if (!config.resume_from.empty()) {
     APPFL_SPAN("ckpt.restore", "ckpt");
     obs::flight_record("ckpt.restore");
     // Resuming through the save store (same directory) keeps the A/B
@@ -229,15 +226,15 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
     // load from.
     std::optional<CheckpointStore> separate;
     CheckpointStore& resume_store =
-        store && ckpt.resume_from == ckpt.dir
+        store && config.resume_from == config.checkpoint_dir
             ? *store
-            : separate.emplace(ckpt.resume_from);
+            : separate.emplace(config.resume_from);
     const std::optional<RoundCheckpoint> rc =
         load_latest_round_checkpoint(resume_store);
     for (const std::string& diag : resume_store.report().diagnostics) {
       std::fprintf(stderr, "warning: checkpoint recovery: %s\n", diag.c_str());
     }
-    APPFL_CHECK_MSG(rc.has_value(), "resume_from='" << ckpt.resume_from
+    APPFL_CHECK_MSG(rc.has_value(), "resume_from='" << config.resume_from
                         << "' holds no loadable checkpoint");
     APPFL_CHECK_MSG(
         rc->seed == config.seed && rc->num_clients == num_clients &&
@@ -455,9 +452,7 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
     }();
     if (!config.secure_agg) {
       APPFL_SPAN("fl.aggregate", "fl");
-      const bool absorbed =
-          fused_aggregation && server.absorb(batch, w, round);
-      if (!absorbed) {
+      if (!server.absorb(batch, w, round)) {
         const std::vector<comm::Message> locals = batch.take_messages();
         server.update(locals, w, round);
       }
@@ -627,7 +622,8 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
     const bool halt_here =
         config.halt_after_round > 0 && round == config.halt_after_round;
     if (store &&
-        (round % ckpt.every == 0 || round == config.rounds || halt_here)) {
+        (round % config.checkpoint_every_n_rounds == 0 ||
+         round == config.rounds || halt_here)) {
       APPFL_SPAN("ckpt.save", "ckpt");
       obs::flight_record("ckpt.save",
                          "{\"round\":" + std::to_string(round) + "}");

@@ -19,13 +19,17 @@ std::vector<std::uint32_t> sample_fraction(rng::Rng& sampler,
   }
   if (fraction < 1.0) {
     rng::shuffle(sampler, std::span<std::uint32_t>(participants));
-    const std::size_t count = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               std::ceil(fraction * static_cast<double>(num_clients))));
-    participants.resize(count);
+    participants.resize(fraction_cohort(num_clients, fraction));
     std::sort(participants.begin(), participants.end());
   }
   return participants;
+}
+
+std::size_t fraction_cohort(std::size_t num_clients, double fraction) {
+  if (fraction >= 1.0) return num_clients;
+  return std::max<std::size_t>(
+      1, static_cast<std::size_t>(
+             std::ceil(fraction * static_cast<double>(num_clients))));
 }
 
 std::vector<std::uint32_t> sample_k_of_n(rng::Rng& sampler, std::size_t n,

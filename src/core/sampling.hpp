@@ -22,6 +22,10 @@ std::vector<std::uint32_t> sample_fraction(rng::Rng& sampler,
                                            std::size_t num_clients,
                                            double fraction);
 
+/// Size of every sample_fraction draw: num_clients at fraction 1,
+/// otherwise max(1, ⌈fraction·num_clients⌉).
+std::size_t fraction_cohort(std::size_t num_clients, double fraction);
+
 /// Draws k distinct 1-based ids from a population of n, returned sorted —
 /// the population engine's rule. A partial Fisher–Yates over a virtual
 /// identity array (sparse overlay) makes the draw O(k) in time and memory

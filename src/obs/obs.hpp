@@ -49,26 +49,4 @@ void set_level(Level lv);
 inline bool metrics_on() { return level() >= Level::kMetrics; }
 inline bool trace_on() { return level() >= Level::kTrace; }
 
-/// Resolved observability policy for one run: the level plus where (if
-/// anywhere) the exporters write. Populated from RunConfig by
-/// core::obs_options_from_env, then overridden by APPFL_OBS_*.
-struct ObsOptions {
-  Level level = Level::kOff;
-  std::string trace_out;     // Chrome trace JSON path ("" = don't write)
-  std::string metrics_out;   // per-round JSONL stream path ("" = don't write)
-  std::string health_out;    // per-client health ledger CSV (needs metrics+)
-  std::string critpath_out;  // critical-path JSONL; `<stem>.csv` written too
-                             // (needs trace — the analyzer eats span records)
-  std::string flight_dir;    // directory for flight-recorder dumps (metrics+)
-};
-
-/// Applies APPFL_OBS_LEVEL / APPFL_OBS_TRACE_OUT / APPFL_OBS_METRICS_OUT /
-/// APPFL_OBS_HEALTH_OUT / APPFL_OBS_CRITPATH_OUT / APPFL_OBS_FLIGHT_DIR on
-/// top of `opts`. An unparseable APPFL_OBS_LEVEL is warned about on stderr
-/// and ignored (the APPFL_FAULT_* / APPFL_CKPT_* convention). Output paths
-/// whose level cannot produce them (trace_out/critpath_out below kTrace,
-/// metrics_out/health_out/flight_dir at kOff) are warned about and cleared,
-/// so a run never silently emits an empty artifact.
-void apply_env_overrides(ObsOptions& opts);
-
 }  // namespace appfl::obs

@@ -1,7 +1,6 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -40,22 +39,9 @@ constexpr std::size_t kTinyFlops = 32 * 32 * 32;
 
 std::mutex g_mutex;
 KernelConfig g_config;
-bool g_env_loaded = false;
 std::shared_ptr<util::ThreadPool> g_pool;  // the shared kernel pool
 
 thread_local std::size_t t_last_chunks = 1;
-
-KernelConfig load_env_config() {
-  KernelConfig config;
-  if (const char* backend = std::getenv("APPFL_KERNEL_BACKEND")) {
-    config.backend = parse_kernel_backend(backend);
-  }
-  if (const char* threads = std::getenv("APPFL_KERNEL_THREADS")) {
-    const long parsed = std::strtol(threads, nullptr, 10);
-    if (parsed > 0) config.threads = static_cast<std::size_t>(parsed);
-  }
-  return config;
-}
 
 std::size_t resolved_threads(const KernelConfig& config) {
   if (config.threads > 0) return config.threads;
@@ -286,10 +272,6 @@ KernelBackend parse_kernel_backend(const std::string& name) {
 
 KernelConfig kernel_config() {
   std::lock_guard<std::mutex> lock(g_mutex);
-  if (!g_env_loaded) {
-    g_config = load_env_config();
-    g_env_loaded = true;
-  }
   return g_config;
 }
 
@@ -298,7 +280,6 @@ void set_kernel_config(const KernelConfig& config) {
                   "kernel threads " << config.threads << " is not sane");
   std::lock_guard<std::mutex> lock(g_mutex);
   g_config = config;
-  g_env_loaded = true;
   // The pool is rebuilt lazily at the new size on next use.
 }
 

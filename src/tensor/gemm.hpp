@@ -17,13 +17,12 @@
 //    (see ThreadPool::on_worker_thread) so nested parallelism never
 //    oversubscribes or deadlocks.
 //
-// Backend and thread count come from the process-wide KernelConfig, seeded
-// from the APPFL_KERNEL_BACKEND / APPFL_KERNEL_THREADS environment
-// variables and settable programmatically (RunConfig plumbs them through
-// the runner). Results are bitwise deterministic for a fixed backend on a
-// fixed machine regardless of thread count: work is split along C's rows,
-// every C element is accumulated in the same order by the same micro-kernel
-// no matter which thread owns it.
+// Backend and thread count come from the process-wide KernelConfig
+// (default: tiled, hardware concurrency), set programmatically — RunConfig
+// plumbs them through the runners. Results are bitwise deterministic for a
+// fixed backend on a fixed machine regardless of thread count: work is split
+// along C's rows, every C element is accumulated in the same order by the
+// same micro-kernel no matter which thread owns it.
 #pragma once
 
 #include <cstddef>
@@ -51,9 +50,7 @@ struct KernelConfig {
   std::size_t threads = 0;  // 0 = hardware concurrency
 };
 
-/// Current process-wide engine configuration. First call seeds it from the
-/// environment (APPFL_KERNEL_BACKEND=reference|tiled,
-/// APPFL_KERNEL_THREADS=<n>).
+/// Current process-wide engine configuration.
 KernelConfig kernel_config();
 
 void set_kernel_config(const KernelConfig& config);

@@ -3,8 +3,8 @@
 // The Linear layer's forward and backward passes need all three transpose
 // variants. All of them dispatch through the kernel execution engine
 // (gemm.hpp): the packed register-tiled backend by default, the original
-// cache-blocked scalar loops when the reference backend is selected via
-// config/env. The *_reference entry points call the scalar loops
+// cache-blocked scalar loops when the reference backend is selected in the
+// kernel config. The *_reference entry points call the scalar loops
 // unconditionally — they are the parity baseline for tests and benchmarks.
 // Shapes are checked; outputs are fresh tensors.
 #pragma once

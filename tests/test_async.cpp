@@ -6,7 +6,6 @@
 
 #include "util/check.hpp"
 
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 
@@ -219,6 +218,53 @@ TEST(Async, OverflowedUpdateBudgetIsAUsageError) {
   EXPECT_THROW(appfl::core::run_async_iiadmm(cfg, split_of(16)), appfl::Error);
 }
 
+// The async schedules model uplink drop only. Every other fault kind used to
+// be silently ignored (and run_async_iiadmm ignored drop too); each runner
+// now rejects what it does not simulate before training anything.
+std::vector<appfl::comm::FaultConfig> unsimulated_faults() {
+  std::vector<appfl::comm::FaultConfig> out(5);
+  out[0].duplicate = 0.1;
+  out[1].reorder = 0.1;
+  out[2].corrupt = 0.1;
+  out[3].delay = 0.1;
+  out[4].dead = {2};
+  return out;
+}
+
+TEST(Async, RunAsyncRejectsFaultsItDoesNotSimulate) {
+  AsyncConfig cfg = base_async();
+  cfg.total_updates = 2;
+  for (const auto& faults : unsimulated_faults()) {
+    cfg.run.faults = faults;
+    EXPECT_THROW(appfl::core::run_async(cfg, split_of(16)), appfl::Error);
+  }
+  cfg.run.faults = {};
+  cfg.run.faults.drop = 0.3;  // the one simulated kind still runs
+  EXPECT_EQ(appfl::core::run_async(cfg, split_of(16)).applied_updates, 2U);
+}
+
+TEST(Async, SyncBaselineRejectsFaultsItDoesNotSimulate) {
+  AsyncConfig cfg = base_async();
+  cfg.run.rounds = 1;
+  for (const auto& faults : unsimulated_faults()) {
+    cfg.run.faults = faults;
+    EXPECT_THROW(appfl::core::run_sync_baseline(cfg, split_of(16)),
+                 appfl::Error);
+  }
+}
+
+TEST(Async, AsyncIIAdmmRejectsAnyFault) {
+  AsyncConfig cfg = base_async();
+  cfg.total_updates = 2;
+  std::vector<appfl::comm::FaultConfig> all = unsimulated_faults();
+  all.emplace_back().drop = 0.3;
+  for (const auto& faults : all) {
+    cfg.run.faults = faults;
+    EXPECT_THROW(appfl::core::run_async_iiadmm(cfg, split_of(16)),
+                 appfl::Error);
+  }
+}
+
 TEST(Async, StalenessHistogramExportCoversZero) {
   // Regression: async.staleness was registered with lower bound 1.0, so
   // staleness 0 — the modal value in low-concurrency runs — vanished into
@@ -314,25 +360,6 @@ TEST(Async, StalenessWeightingFamiliesDiffer) {
     }
   }
   EXPECT_TRUE(saw_past_knee);
-}
-
-TEST(Async, EnvOverridesSelectStrategyWithWarnAndIgnore) {
-  const auto split = split_of(16);
-  AsyncConfig cfg = base_async();
-  cfg.total_updates = 4;
-  ::setenv("APPFL_ASYNC_STRATEGY", "fedbuff", 1);
-  ::setenv("APPFL_ASYNC_BUFFER_K", "2", 1);
-  auto result = appfl::core::run_async(cfg, split);
-  EXPECT_EQ(result.strategy, "fedbuff");
-  EXPECT_EQ(result.committed_updates, 2U);  // K=2 over 4 arrivals
-  // Garbage values are warned about and ignored, never fatal and never
-  // silently read as something else (APPFL_FAULT_*/APPFL_CKPT_* convention).
-  ::setenv("APPFL_ASYNC_STRATEGY", "not-a-strategy", 1);
-  ::setenv("APPFL_ASYNC_BUFFER_K", "zero", 1);
-  result = appfl::core::run_async(cfg, split);
-  EXPECT_EQ(result.strategy, "fedasync");
-  ::unsetenv("APPFL_ASYNC_STRATEGY");
-  ::unsetenv("APPFL_ASYNC_BUFFER_K");
 }
 
 TEST(Async, FedCompassReducesStalenessOnHeterogeneousFleet) {

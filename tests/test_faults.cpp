@@ -136,35 +136,6 @@ TEST(FaultInjector, DeadEndpointDropsEverything) {
   EXPECT_EQ(inj.stats().drops, 20U);
 }
 
-TEST(FaultConfig, EnvOverridesApply) {
-  ::setenv("APPFL_FAULT_DROP", "0.25", 1);
-  ::setenv("APPFL_FAULT_DEAD", "3,9", 1);
-  const FaultConfig cfg = appfl::comm::fault_config_from_env({});
-  ::unsetenv("APPFL_FAULT_DROP");
-  ::unsetenv("APPFL_FAULT_DEAD");
-  EXPECT_DOUBLE_EQ(cfg.drop, 0.25);
-  EXPECT_EQ(cfg.dead, (std::vector<std::uint32_t>{3, 9}));
-  EXPECT_TRUE(cfg.enabled());
-}
-
-TEST(FaultConfig, EnvIgnoresUnparseableValues) {
-  // Garbage must not be silently read as 0 (which would quietly disable a
-  // fault campaign): the base value survives and bad dead-list tokens are
-  // skipped.
-  ::setenv("APPFL_FAULT_DROP", "not-a-number", 1);
-  ::setenv("APPFL_FAULT_DELAY", "0.5x", 1);
-  ::setenv("APPFL_FAULT_DEAD", "3,two,9", 1);
-  FaultConfig base;
-  base.drop = 0.125;
-  const FaultConfig cfg = appfl::comm::fault_config_from_env(base);
-  ::unsetenv("APPFL_FAULT_DROP");
-  ::unsetenv("APPFL_FAULT_DELAY");
-  ::unsetenv("APPFL_FAULT_DEAD");
-  EXPECT_DOUBLE_EQ(cfg.drop, 0.125);  // garbage leaves the base value
-  EXPECT_DOUBLE_EQ(cfg.delay, 0.0);   // trailing junk rejected, not truncated
-  EXPECT_EQ(cfg.dead, (std::vector<std::uint32_t>{3, 9}));
-}
-
 // -- CRC envelope --------------------------------------------------------------
 
 TEST(Envelope, RoundTripsAndDetectsEverySingleBitFlip) {

@@ -2,16 +2,18 @@
 // and the servers' absorb() overrides must be bit-identical to the classic
 // decode-then-reduce path — per kernel (f32 and f16 payloads, every thread
 // count), and end to end through the runner (every algorithm × codec,
-// fused vs APPFL_FUSED_AGG=0).
+// fused vs a server that declines absorb() and so takes the classic path).
 #include <gtest/gtest.h>
 
 #include "util/check.hpp"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "comm/compression.hpp"
 #include "core/aggregate.hpp"
+#include "core/fedavg.hpp"
+#include "core/iceadmm.hpp"
+#include "core/iiadmm.hpp"
 #include "core/runner.hpp"
 #include "data/synth.hpp"
 #include "rng/distributions.hpp"
@@ -224,12 +226,52 @@ RunConfig fused_cfg(Algorithm alg) {
   return cfg;
 }
 
-void expect_fused_matches_unfused(RunConfig cfg,
+// Declining absorb() is how a server without a fused path behaves: the
+// runner materializes the batch and calls update() — the classic path.
+template <class Server>
+class ClassicPathServer : public Server {
+ public:
+  using Server::Server;
+  bool absorb(const appfl::comm::GatherBatch& /*batch*/,
+              std::span<const float> /*global*/,
+              std::uint32_t /*round*/) override {
+    return false;
+  }
+};
+
+// run_federated(cfg, split) with the algorithm's server on the classic path.
+appfl::core::RunResult run_classic(const RunConfig& cfg,
+                                   const appfl::data::FederatedSplit& split) {
+  std::unique_ptr<appfl::nn::Module> model =
+      appfl::core::build_model(cfg, split.test);
+  std::vector<std::unique_ptr<appfl::core::BaseClient>> clients;
+  for (std::size_t p = 0; p < split.clients.size(); ++p) {
+    clients.push_back(appfl::core::build_client(
+        static_cast<std::uint32_t>(p + 1), cfg, *model, split.clients[p]));
+  }
+  std::unique_ptr<appfl::core::BaseServer> server;
+  switch (cfg.algorithm) {
+    case Algorithm::kFedAvg:
+    case Algorithm::kFedProx:
+      server = std::make_unique<ClassicPathServer<appfl::core::FedAvgServer>>(
+          cfg, std::move(model), split.test, clients.size());
+      break;
+    case Algorithm::kIceAdmm:
+      server = std::make_unique<ClassicPathServer<appfl::core::IceAdmmServer>>(
+          cfg, std::move(model), split.test, clients.size());
+      break;
+    case Algorithm::kIIAdmm:
+      server = std::make_unique<ClassicPathServer<appfl::core::IIAdmmServer>>(
+          cfg, std::move(model), split.test, clients.size());
+      break;
+  }
+  return appfl::core::run_federated(cfg, *server, clients);
+}
+
+void expect_fused_matches_unfused(const RunConfig& cfg,
                                   const appfl::data::FederatedSplit& split) {
-  cfg.fused_aggregation = true;
   const auto fused = appfl::core::run_federated(cfg, split);
-  cfg.fused_aggregation = false;
-  const auto classic = appfl::core::run_federated(cfg, split);
+  const auto classic = run_classic(cfg, split);
   ASSERT_EQ(fused.final_parameters.size(), classic.final_parameters.size());
   EXPECT_TRUE(same_bits(fused.final_parameters, classic.final_parameters));
   EXPECT_EQ(fused.traffic.bytes_up, classic.traffic.bytes_up);
@@ -263,7 +305,7 @@ TEST(FusedEndToEnd, EveryCodecBitIdenticalToClassicPath) {
 
 TEST(FusedEndToEnd, AdaptiveRhoFallsBackAndStaysCorrect) {
   // Adaptive-ρ ADMM declines the fused path (absorb returns false); the
-  // run must still complete identically whether fusion is requested or not.
+  // run must still complete identically to the forced classic path.
   const auto split = make_split();
   for (const Algorithm alg : {Algorithm::kIceAdmm, Algorithm::kIIAdmm}) {
     SCOPED_TRACE(appfl::core::to_string(alg));
@@ -281,23 +323,6 @@ TEST(FusedEndToEnd, PartialParticipationBitIdentical) {
     cfg.client_fraction = 0.67;  // 2 of 3 clients per round
     expect_fused_matches_unfused(cfg, split);
   }
-}
-
-TEST(FusedEndToEnd, EnvOverrideDisablesFusion) {
-  // APPFL_FUSED_AGG=0 must override a fused-enabled config — and produce
-  // the same bits, which is exactly what makes the override safe to flip.
-  const auto split = make_split();
-  RunConfig cfg = fused_cfg(Algorithm::kFedAvg);
-  cfg.fused_aggregation = true;
-  const auto fused = appfl::core::run_federated(cfg, split);
-  ASSERT_EQ(setenv("APPFL_FUSED_AGG", "0", 1), 0);
-  const auto overridden = appfl::core::run_federated(cfg, split);
-  unsetenv("APPFL_FUSED_AGG");
-  EXPECT_TRUE(same_bits(fused.final_parameters, overridden.final_parameters));
-  // Garbage values warn and keep the config setting.
-  ASSERT_EQ(setenv("APPFL_FUSED_AGG", "maybe", 1), 0);
-  EXPECT_TRUE(appfl::core::fused_aggregation_from_env(cfg));
-  unsetenv("APPFL_FUSED_AGG");
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -101,32 +100,6 @@ TEST(ObsLevel, GuardsFollowLevel) {
   EXPECT_FALSE(obs::trace_on());
   obs::set_level(obs::Level::kTrace);
   EXPECT_TRUE(obs::trace_on());
-}
-
-TEST(ObsLevel, EnvOverridesFollowWarnAndIgnoreConvention) {
-  obs::ObsOptions opts;
-  opts.level = obs::Level::kMetrics;
-  setenv("APPFL_OBS_LEVEL", "bogus", 1);
-  obs::apply_env_overrides(opts);
-  EXPECT_EQ(opts.level, obs::Level::kMetrics);  // invalid value ignored
-
-  setenv("APPFL_OBS_LEVEL", "trace", 1);
-  obs::apply_env_overrides(opts);
-  EXPECT_EQ(opts.level, obs::Level::kTrace);
-  unsetenv("APPFL_OBS_LEVEL");
-}
-
-TEST(ObsLevel, InconsistentOutputPathsAreCleared) {
-  obs::ObsOptions opts;
-  opts.level = obs::Level::kMetrics;
-  opts.trace_out = "t.json";  // trace file below trace level: cleared
-  obs::apply_env_overrides(opts);
-  EXPECT_TRUE(opts.trace_out.empty());
-
-  opts.level = obs::Level::kOff;
-  opts.metrics_out = "m.jsonl";
-  obs::apply_env_overrides(opts);
-  EXPECT_TRUE(opts.metrics_out.empty());
 }
 
 TEST(ObsConfig, ValidateRejectsBadLevelAndOrphanPaths) {

@@ -108,6 +108,21 @@ TEST(Runner, ManyClientsRunThroughTheThreadPool) {
   EXPECT_EQ(result.traffic.messages_up, 2U * 16U);
 }
 
+TEST(Runner, MailboxCapBelowCohortFailsFast) {
+  // Regression: a cap below the round cohort overflowed the server mailbox,
+  // and the fault-free gather then waited forever for the lost updates.
+  const auto split = small_split();
+  ASSERT_EQ(split.num_clients(), 4U);
+  RunConfig cfg = quick_config();
+  cfg.mailbox_capacity = 3;
+  EXPECT_THROW(appfl::core::run_federated(cfg, split), appfl::Error);
+  cfg.client_fraction = 0.5;  // cohort of 2
+  cfg.mailbox_capacity = 1;
+  EXPECT_THROW(appfl::core::run_federated(cfg, split), appfl::Error);
+  cfg.mailbox_capacity = 2;
+  EXPECT_EQ(appfl::core::run_federated(cfg, split).rounds.size(), 3U);
+}
+
 TEST(BuildModel, AllKindsMatchDataShape) {
   const auto split = small_split(8);
   for (ModelKind kind :
