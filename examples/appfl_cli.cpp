@@ -93,8 +93,11 @@ void print_help() {
       "                       fan-in under --population)\n"
       "\n"
       "Asynchronous mode (server absorbs updates as they arrive):\n"
-      "  --async-strategy S   fedasync | fedbuff | fedcompass — enables the\n"
-      "                       async runner (FedAvg local solver only)\n"
+      "  --async-strategy S   fedasync | fedbuff | fedcompass | iiadmm —\n"
+      "                       enables the async runner. iiadmm runs the\n"
+      "                       IIADMM local solver and server (constant\n"
+      "                       --rho, no --fault-* flags); the others run\n"
+      "                       the FedAvg local solver\n"
       "  --staleness-weight W constant | polynomial | hinge (default polynomial)\n"
       "  --buffer-k K         FedBuff: arrivals per commit (default 4)\n"
       "  --mixing-alpha X     base mixing rate in (0, 1] (default 0.6)\n"
@@ -441,18 +444,28 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else {
-      if (args.has("algorithm") && alg != "fedavg") {
-        std::cerr << "--async-strategy runs the FedAvg local solver; "
-                     "--algorithm " << alg << " is not supported\n"
-                     "(use --help)\n";
-        return 2;
-      }
-      cfg.algorithm = appfl::core::Algorithm::kFedAvg;
       const auto kind = appfl::core::parse_async_strategy(async_strategy_name);
       if (!kind.has_value()) {
         std::cerr << "unknown --async-strategy '" << async_strategy_name
-                  << "' (expected fedasync|fedbuff|fedcompass)\n"
+                  << "' (expected fedasync|fedbuff|fedcompass|iiadmm)\n"
                      "(use --help)\n";
+        return 2;
+      }
+      // The strategy picks the local solver; --algorithm may only repeat it.
+      const bool iiadmm = *kind == appfl::core::AsyncStrategyKind::kIIAdmm;
+      const std::string solver = iiadmm ? "iiadmm" : "fedavg";
+      if (args.has("algorithm") && alg != solver) {
+        std::cerr << "--async-strategy " << async_strategy_name << " runs the "
+                  << solver << " local solver; --algorithm " << alg
+                  << " is not supported\n(use --help)\n";
+        return 2;
+      }
+      cfg.algorithm = appfl::core::local_solver(*kind);
+      if (iiadmm &&
+          (has_staleness_weight || has_buffer_k || has_mixing_alpha)) {
+        std::cerr << "--staleness-weight/--buffer-k/--mixing-alpha do not "
+                     "apply to --async-strategy iiadmm (it absorbs through "
+                     "the closed-form consensus)\n(use --help)\n";
         return 2;
       }
       async_cfg.strategy.kind = *kind;
@@ -593,7 +606,11 @@ int main(int argc, char** argv) {
     // -- Run (async) -------------------------------------------------------
     if (async_mode) {
       std::cout << "appfl_cli: async " << async_strategy_name << " ("
-                << staleness_weight_name << " staleness weighting) on "
+                << (async_cfg.strategy.kind ==
+                            appfl::core::AsyncStrategyKind::kIIAdmm
+                        ? std::string("closed-form consensus")
+                        : staleness_weight_name + " staleness weighting")
+                << ") on "
                 << split.name << " (" << split.num_clients() << " clients, "
                 << fleet << " fleet)\n\n";
       const auto result = appfl::core::run_async(async_cfg, split);

@@ -10,8 +10,9 @@
 //   * an AsyncStrategy (core/async_strategy.hpp) decides what the server
 //     does with each arriving update — FedAsync mixes it in immediately
 //     with a staleness-damped step, FedBuff buffers K deltas per commit,
-//     and the FedCompass-style scheduler additionally sizes each client's
-//     local work so arrivals cluster;
+//     the FedCompass-style scheduler additionally sizes each client's
+//     local work so arrivals cluster, and IIADMM absorbs it through the
+//     paper's own server (dual step + closed-form consensus);
 //   * the client is immediately re-dispatched with the fresh w.
 //
 // The simulation advances a virtual clock from the hardware and network
@@ -21,7 +22,8 @@
 // deterministic RNG stream and the client re-dispatched — async FL's
 // natural retransmit — with the loss counted in dropped_updates.
 // run_async and run_sync_baseline reject every other fault kind at run
-// start; run_async_iiadmm models no faults and rejects any.
+// start; the iiadmm strategy models no faults and rejects any, drop
+// included.
 #pragma once
 
 #include <string>
@@ -82,7 +84,8 @@ struct AsyncRunResult {
 /// run.checkpoint_dir set an AsyncCheckpoint is stored every
 /// run.checkpoint_every_n_rounds *applied updates*, run.resume_from restores
 /// the newest valid one (bit-identical continuation — FedBuff's partially
-/// filled buffer and the scheduler's step plan included), and
+/// filled buffer, the scheduler's step plan and IIADMM's dual replicas
+/// included), and
 /// run.halt_after_round stops after that many applied updates.
 AsyncRunResult run_async(const AsyncConfig& config,
                          const data::FederatedSplit& split);
@@ -104,24 +107,5 @@ struct SyncBaselineResult {
 
 SyncBaselineResult run_sync_baseline(const AsyncConfig& config,
                                      const data::FederatedSplit& split);
-
-/// Asynchronous IIADMM — the paper's algorithm under its future-work
-/// schedule. The server keeps per-client (z_p, λ_p) replicas; each arriving
-/// update triggers the dual step λ_p ← λ_p + ρ(w_sent_p − z_p^{new}) using
-/// the SAME w the client trained against, so the dual-replication invariant
-/// (no duals on the wire) survives asynchrony exactly. The global model is
-/// recomputed from line 3's closed form after every absorption, and the
-/// client is immediately re-dispatched with it. Honors the same
-/// checkpoint/halt/resume contract as run_async (the replicas and w_sent
-/// snapshots ride in the AsyncCheckpoint's ADMM fields). Result fields
-/// carry the extra invariant check: duals_consistent is true iff every
-/// client's dual matched the server replica bit-for-bit at the end.
-struct AsyncIIAdmmResult {
-  AsyncRunResult base;
-  bool duals_consistent = false;
-};
-
-AsyncIIAdmmResult run_async_iiadmm(const AsyncConfig& config,
-                                   const data::FederatedSplit& split);
 
 }  // namespace appfl::core

@@ -6,6 +6,7 @@
 #include "comm/message.hpp"
 #include "core/aggregate.hpp"
 #include "core/checkpoint.hpp"
+#include "core/iiadmm.hpp"
 #include "util/check.hpp"
 
 namespace appfl::core {
@@ -15,6 +16,7 @@ std::string to_string(AsyncStrategyKind k) {
     case AsyncStrategyKind::kFedAsync: return "fedasync";
     case AsyncStrategyKind::kFedBuff: return "fedbuff";
     case AsyncStrategyKind::kFedCompass: return "fedcompass";
+    case AsyncStrategyKind::kIIAdmm: return "iiadmm";
   }
   return "?";
 }
@@ -32,6 +34,7 @@ std::optional<AsyncStrategyKind> parse_async_strategy(std::string_view name) {
   if (name == "fedasync") return AsyncStrategyKind::kFedAsync;
   if (name == "fedbuff") return AsyncStrategyKind::kFedBuff;
   if (name == "fedcompass") return AsyncStrategyKind::kFedCompass;
+  if (name == "iiadmm") return AsyncStrategyKind::kIIAdmm;
   return std::nullopt;
 }
 
@@ -40,6 +43,11 @@ std::optional<StalenessWeight> parse_staleness_weight(std::string_view name) {
   if (name == "polynomial") return StalenessWeight::kPolynomial;
   if (name == "hinge") return StalenessWeight::kHinge;
   return std::nullopt;
+}
+
+Algorithm local_solver(AsyncStrategyKind k) {
+  return k == AsyncStrategyKind::kIIAdmm ? Algorithm::kIIAdmm
+                                         : Algorithm::kFedAvg;
 }
 
 void AsyncStrategyOptions::validate() const {
@@ -63,22 +71,24 @@ float AsyncStrategy::staleness_weight(std::size_t staleness) const {
   return alpha_;
 }
 
+std::vector<float> AsyncStrategy::initial_model(BaseServer& server) const {
+  return server.initial_parameters();
+}
+
 namespace {
 
 /// FedAsync: every arrival is mixed into the model immediately,
 /// w ← (1 − α_s)·w + α_s·z, and the model version advances.
 class FedAsyncStrategy : public AsyncStrategy {
  public:
-  FedAsyncStrategy(float alpha, StalenessWeight weight, std::size_t hinge_s0,
-                   std::size_t base_steps)
-      : AsyncStrategy(alpha, weight, hinge_s0, base_steps) {}
+  using AsyncStrategy::AsyncStrategy;
 
   AsyncStrategyKind kind() const override {
     return AsyncStrategyKind::kFedAsync;
   }
 
-  Absorbed absorb(std::span<const float> payload, std::size_t staleness,
-                  std::span<float> w) override {
+  Absorbed absorb(std::size_t /*client*/, std::span<const float> payload,
+                  std::size_t staleness, std::span<float> w) override {
     APPFL_CHECK_MSG(payload.size() == w.size(),
                     "async payload size " << payload.size()
                                           << " != model size " << w.size());
@@ -102,7 +112,8 @@ class FedBuffStrategy : public AsyncStrategy {
   AsyncStrategyKind kind() const override { return AsyncStrategyKind::kFedBuff; }
 
   std::vector<float> in_flight_payload(
-      std::vector<float> z, std::span<const float> w_sent) const override {
+      std::size_t /*client*/, std::vector<float> z,
+      std::span<const float> w_sent) override {
     APPFL_CHECK_MSG(z.size() == w_sent.size(),
                     "FedBuff delta: trained model size "
                         << z.size() << " != dispatched size " << w_sent.size());
@@ -110,8 +121,8 @@ class FedBuffStrategy : public AsyncStrategy {
     return z;  // the delta the server buffers on arrival
   }
 
-  Absorbed absorb(std::span<const float> payload, std::size_t staleness,
-                  std::span<float> w) override {
+  Absorbed absorb(std::size_t /*client*/, std::span<const float> payload,
+                  std::size_t staleness, std::span<float> w) override {
     APPFL_CHECK_MSG(payload.size() == w.size(),
                     "async payload size " << payload.size()
                                           << " != model size " << w.size());
@@ -217,11 +228,73 @@ class FedCompassStrategy : public FedAsyncStrategy {
   std::vector<std::size_t> steps_;
 };
 
+/// Asynchronous IIADMM: the run's IIAdmmServer absorbs every arrival
+/// undamped — line 6's dual step with the w this client was dispatched,
+/// then line 3's consensus over all P replicas.
+class IIAdmmStrategy : public AsyncStrategy {
+ public:
+  IIAdmmStrategy(std::size_t base_steps, BaseServer& server)
+      : AsyncStrategy(1.0F, StalenessWeight::kConstant, 0, base_steps),
+        server_(dynamic_cast<IIAdmmServer*>(&server)) {
+    APPFL_CHECK_MSG(server_ != nullptr,
+                    "the iiadmm async strategy needs an IIADMM server");
+    w_sent_.resize(server_->num_clients());
+  }
+
+  AsyncStrategyKind kind() const override { return AsyncStrategyKind::kIIAdmm; }
+
+  /// Line 3 over the initial replicas (z_p = w⁰, λ_p = 0).
+  std::vector<float> initial_model(BaseServer& server) const override {
+    return server.compute_global(0);
+  }
+
+  std::vector<float> in_flight_payload(
+      std::size_t client, std::vector<float> z,
+      std::span<const float> w_sent) override {
+    w_sent_.at(client).assign(w_sent.begin(), w_sent.end());
+    return z;
+  }
+
+  Absorbed absorb(std::size_t client, std::span<const float> payload,
+                  std::size_t /*staleness*/, std::span<float> w) override {
+    comm::Message z_p;
+    z_p.kind = comm::MessageKind::kLocalUpdate;
+    z_p.sender = static_cast<std::uint32_t>(client + 1);
+    z_p.primal.assign(payload.begin(), payload.end());
+    server_->update({std::move(z_p)}, w_sent_.at(client), 0);
+    const std::vector<float> next = server_->compute_global(0);
+    std::copy(next.begin(), next.end(), w.begin());
+    return {.mixing = 1.0F, .committed = true};
+  }
+
+  void export_state(AsyncCheckpoint& out) const override {
+    ServerStateCkpt s = server_->export_state();
+    out.server_primal = std::move(s.primal);
+    out.server_dual = std::move(s.dual);
+    out.w_sent = w_sent_;
+  }
+
+  // The decoder pairs w_sent with the replica tables, and the server's
+  // import checks that those cover every client.
+  void import_state(const AsyncCheckpoint& in) override {
+    ServerStateCkpt s = server_->export_state();
+    s.primal = in.server_primal;
+    s.dual = in.server_dual;
+    server_->import_state(s);
+    w_sent_ = in.w_sent;
+  }
+
+ private:
+  IIAdmmServer* server_;
+  std::vector<std::vector<float>> w_sent_;  // w each client was dispatched
+};
+
 }  // namespace
 
 std::unique_ptr<AsyncStrategy> AsyncStrategy::make(
     const AsyncStrategyOptions& opts, float mixing_alpha,
-    std::size_t base_local_steps, std::span<const double> seconds_per_step) {
+    std::size_t base_local_steps, std::span<const double> seconds_per_step,
+    BaseServer& server) {
   opts.validate();
   switch (opts.kind) {
     case AsyncStrategyKind::kFedAsync:
@@ -237,6 +310,8 @@ std::unique_ptr<AsyncStrategy> AsyncStrategy::make(
                                                   opts.hinge_s0,
                                                   base_local_steps,
                                                   seconds_per_step);
+    case AsyncStrategyKind::kIIAdmm:
+      return std::make_unique<IIAdmmStrategy>(base_local_steps, server);
   }
   APPFL_CHECK_MSG(false, "unreachable async strategy kind");
   return nullptr;

@@ -25,10 +25,15 @@
 //     the same staleness-damped mixing as FedAsync (which the clustering
 //     makes almost undamped).
 //
+//   * **IIADMM** (the paper's Algorithm 1, asynchronously): IIADMM clients,
+//     and each arrival goes through the run's IIAdmmServer — the dual step
+//     against the exact w the client trained on, then the consensus over
+//     every replica. Both dual replicas stay bit-identical.
+//
 // Strategies are deterministic plain state machines: no RNG, no clocks.
 // Their mutable state (FedBuff's partially-filled buffer, the scheduler's
-// step plan) exports into AsyncCheckpoint so a killed run resumes
-// bit-identically mid-buffer.
+// step plan, IIADMM's replicas and per-client dispatched models) exports
+// into AsyncCheckpoint so a killed run resumes bit-identically mid-buffer.
 #pragma once
 
 #include <memory>
@@ -40,12 +45,15 @@
 
 namespace appfl::core {
 
+enum class Algorithm;  // core/config.hpp
 struct AsyncCheckpoint;
+class BaseServer;
 
 enum class AsyncStrategyKind {
   kFedAsync,   // immediate staleness-damped mixing (the historical scheme)
   kFedBuff,    // buffered-K delta aggregation
   kFedCompass, // compute-aware variable local steps + damped mixing
+  kIIAdmm,     // Algorithm 1: server dual step + closed-form consensus
 };
 
 enum class StalenessWeight {
@@ -56,10 +64,14 @@ enum class StalenessWeight {
 
 std::string to_string(AsyncStrategyKind k);
 std::string to_string(StalenessWeight w);
-/// nullopt on an unrecognized name ("fedasync"|"fedbuff"|"fedcompass",
-/// "constant"|"polynomial"|"hinge").
+/// nullopt on an unrecognized name ("fedasync"|"fedbuff"|"fedcompass"|
+/// "iiadmm", "constant"|"polynomial"|"hinge").
 std::optional<AsyncStrategyKind> parse_async_strategy(std::string_view name);
 std::optional<StalenessWeight> parse_staleness_weight(std::string_view name);
+
+/// The algorithm whose client and server a strategy runs: IIADMM for
+/// kIIAdmm, FedAvg for the mixing schemes.
+Algorithm local_solver(AsyncStrategyKind k);
 
 /// The async-plane strategy knobs carried by AsyncConfig.
 struct AsyncStrategyOptions {
@@ -79,12 +91,16 @@ class AsyncStrategy {
   virtual AsyncStrategyKind kind() const = 0;
   std::string name() const { return to_string(kind()); }
 
-  /// The vector the dispatcher retains for an in-flight dispatch that
-  /// trained from `w_sent` and produced `z`: z itself for mixing schemes,
-  /// the delta z − w_sent for FedBuff. Also the payload absorb() receives.
+  /// The global model the run starts from. Default: the server's initial
+  /// parameters.
+  virtual std::vector<float> initial_model(BaseServer& server) const;
+
+  /// The vector the dispatcher retains for client p's (0-based) dispatch
+  /// that trained from `w_sent` and produced `z`: z itself for mixing
+  /// schemes, the delta z − w_sent for FedBuff. absorb() receives it.
   virtual std::vector<float> in_flight_payload(
-      std::vector<float> z, std::span<const float> w_sent) const {
-    (void)w_sent;
+      std::size_t /*client*/, std::vector<float> z,
+      std::span<const float> /*w_sent*/) {
     return z;
   }
 
@@ -100,30 +116,33 @@ class AsyncStrategy {
     bool committed = true;  // did the global model (and its version) advance?
   };
 
-  /// Absorbs one arrived payload into `w`. `staleness` is the number of
-  /// model versions committed since the producing dispatch left.
-  virtual Absorbed absorb(std::span<const float> payload,
+  /// Absorbs client p's arrived payload into `w`. `staleness` is the number
+  /// of model versions committed since the producing dispatch left.
+  virtual Absorbed absorb(std::size_t client, std::span<const float> payload,
                           std::size_t staleness, std::span<float> w) = 0;
 
   /// Checkpoint halves: fill / restore the strategy's resumable state
-  /// (FedBuff's partial buffer, the scheduler's step plan). Defaults:
-  /// stateless.
+  /// (FedBuff's partial buffer, the scheduler's step plan, IIADMM's
+  /// server replicas). Defaults: stateless.
   virtual void export_state(AsyncCheckpoint& out) const { (void)out; }
   virtual void import_state(const AsyncCheckpoint& in) { (void)in; }
 
   /// Builds a strategy. `seconds_per_step[p]` is the simulated compute
   /// seconds one local step costs client p — the FedCompass scheduler
-  /// input (ignored by the other strategies).
+  /// input (ignored by the other strategies). `server`, built for
+  /// local_solver(opts.kind), must outlive the strategy (IIADMM absorbs
+  /// through it).
   static std::unique_ptr<AsyncStrategy> make(
       const AsyncStrategyOptions& opts, float mixing_alpha,
-      std::size_t base_local_steps, std::span<const double> seconds_per_step);
+      std::size_t base_local_steps, std::span<const double> seconds_per_step,
+      BaseServer& server);
 
- protected:
   AsyncStrategy(float alpha, StalenessWeight weight, std::size_t hinge_s0,
                 std::size_t base_steps)
       : alpha_(alpha), weight_(weight), hinge_s0_(hinge_s0),
         base_steps_(base_steps) {}
 
+ protected:
   /// α_s under the configured weighting rule. The polynomial branch is the
   /// exact float expression the pre-strategy runner used, so the default
   /// configuration stays bit-identical.

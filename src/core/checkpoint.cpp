@@ -12,6 +12,7 @@
 
 #include "comm/envelope.hpp"
 #include "comm/protolite.hpp"
+#include "obs/flight.hpp"
 #include "util/check.hpp"
 
 namespace appfl::core {
@@ -819,18 +820,48 @@ void save_round_checkpoint(CheckpointStore& store, const RoundCheckpoint& ckpt) 
   store.save(encode_round_checkpoint(ckpt), ckpt.rounds_completed);
 }
 
+namespace {
+
+/// Newest slot that decodes as Ckpt; slots that do not are quarantined.
+template <class Ckpt>
+std::optional<Ckpt> load_latest_decoded(
+    CheckpointStore& store, Ckpt (*decode)(std::span<const std::uint8_t>)) {
+  const auto loaded =
+      store.load_latest([decode](std::span<const std::uint8_t> p) {
+        try {
+          (void)decode(p);
+          return true;
+        } catch (const appfl::Error&) {
+          return false;
+        }
+      });
+  if (!loaded.has_value()) return std::nullopt;
+  return decode(loaded->payload);
+}
+
+template <class Ckpt>
+Ckpt resume_latest(const std::string& resume_from,
+                   std::optional<CheckpointStore>& save_store,
+                   std::optional<Ckpt> (*load)(CheckpointStore&)) {
+  obs::flight_record("ckpt.restore");
+  std::optional<CheckpointStore> separate;
+  CheckpointStore& store = save_store && save_store->dir() == resume_from
+                               ? *save_store
+                               : separate.emplace(resume_from);
+  std::optional<Ckpt> ckpt = load(store);
+  for (const std::string& diag : store.report().diagnostics) {
+    std::fprintf(stderr, "warning: checkpoint recovery: %s\n", diag.c_str());
+  }
+  APPFL_CHECK_MSG(ckpt.has_value(), "resume_from='" << resume_from
+                      << "' holds no loadable checkpoint");
+  return std::move(*ckpt);
+}
+
+}  // namespace
+
 std::optional<RoundCheckpoint> load_latest_round_checkpoint(
     CheckpointStore& store) {
-  const auto loaded = store.load_latest([](std::span<const std::uint8_t> p) {
-    try {
-      (void)decode_round_checkpoint(p);
-      return true;
-    } catch (const appfl::Error&) {
-      return false;
-    }
-  });
-  if (!loaded.has_value()) return std::nullopt;
-  return decode_round_checkpoint(loaded->payload);
+  return load_latest_decoded(store, decode_round_checkpoint);
 }
 
 void save_async_checkpoint(CheckpointStore& store, const AsyncCheckpoint& ckpt) {
@@ -839,16 +870,17 @@ void save_async_checkpoint(CheckpointStore& store, const AsyncCheckpoint& ckpt) 
 
 std::optional<AsyncCheckpoint> load_latest_async_checkpoint(
     CheckpointStore& store) {
-  const auto loaded = store.load_latest([](std::span<const std::uint8_t> p) {
-    try {
-      (void)decode_async_checkpoint(p);
-      return true;
-    } catch (const appfl::Error&) {
-      return false;
-    }
-  });
-  if (!loaded.has_value()) return std::nullopt;
-  return decode_async_checkpoint(loaded->payload);
+  return load_latest_decoded(store, decode_async_checkpoint);
+}
+
+RoundCheckpoint resume_round_checkpoint(
+    const std::string& resume_from, std::optional<CheckpointStore>& save_store) {
+  return resume_latest(resume_from, save_store, load_latest_round_checkpoint);
+}
+
+AsyncCheckpoint resume_async_checkpoint(
+    const std::string& resume_from, std::optional<CheckpointStore>& save_store) {
+  return resume_latest(resume_from, save_store, load_latest_async_checkpoint);
 }
 
 }  // namespace appfl::core

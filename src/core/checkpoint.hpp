@@ -266,4 +266,16 @@ void save_async_checkpoint(CheckpointStore& store, const AsyncCheckpoint& ckpt);
 std::optional<AsyncCheckpoint> load_latest_async_checkpoint(
     CheckpointStore& store);
 
+/// The restore step every resuming runner shares. Loads the newest
+/// checkpoint under `resume_from`: through `save_store` when it is open on
+/// that same directory (so the next save overwrites the slot that was NOT
+/// loaded), else through a store opened on `resume_from`. Prints each
+/// recovery diagnostic (a torn or corrupt slot quarantined on the way) to
+/// stderr as "warning: checkpoint recovery: ...", records the ckpt.restore
+/// flight event, and throws appfl::Error when no checkpoint loads.
+RoundCheckpoint resume_round_checkpoint(
+    const std::string& resume_from, std::optional<CheckpointStore>& save_store);
+AsyncCheckpoint resume_async_checkpoint(
+    const std::string& resume_from, std::optional<CheckpointStore>& save_store);
+
 }  // namespace appfl::core

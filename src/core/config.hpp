@@ -148,7 +148,7 @@ struct RunConfig {
   /// times, and results are then bit-identical to a fault-free build.
   /// Client endpoint ids listed in faults.dead are permanently failed. The
   /// async runners reject the fault kinds they do not model (run_async and
-  /// run_sync_baseline model drop only, run_async_iiadmm none).
+  /// run_sync_baseline model drop only; run_async's iiadmm strategy none).
   comm::FaultConfig faults;
   /// Sim-seconds the server's deadline gather waits before proceeding with
   /// whatever arrived (fault plane only).

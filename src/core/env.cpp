@@ -189,7 +189,7 @@ void apply_env(AsyncConfig& config) {
   apply_env(config.run);
   AsyncStrategyOptions& strategy = config.strategy;
   read_choice("APPFL_ASYNC_STRATEGY", strategy.kind, parse_async_strategy,
-              "fedasync|fedbuff|fedcompass");
+              "fedasync|fedbuff|fedcompass|iiadmm");
   read_choice("APPFL_ASYNC_STALENESS_WEIGHT", strategy.weight,
               parse_staleness_weight, "constant|polynomial|hinge");
   read_size("APPFL_ASYNC_BUFFER_K", strategy.buffer_k, 1);

@@ -34,7 +34,7 @@ struct AsyncConfig;
 void apply_env(RunConfig& config);
 
 /// apply_env(config.run), plus APPFL_ASYNC_STRATEGY
-/// (fedasync|fedbuff|fedcompass), APPFL_ASYNC_STALENESS_WEIGHT
+/// (fedasync|fedbuff|fedcompass|iiadmm), APPFL_ASYNC_STALENESS_WEIGHT
 /// (constant|polynomial|hinge), APPFL_ASYNC_BUFFER_K (>= 1) and
 /// APPFL_ASYNC_HINGE_S0 (>= 0) on config.strategy.
 void apply_env(AsyncConfig& config);

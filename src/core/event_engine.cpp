@@ -177,53 +177,42 @@ PopulationRunResult run_population(const RunConfig& config,
   std::uint32_t start_round = 1;
   if (!config.resume_from.empty()) {
     APPFL_SPAN("ckpt.restore", "ckpt");
-    obs::flight_record("ckpt.restore");
-    std::optional<CheckpointStore> separate;
-    CheckpointStore& resume_store =
-        store && config.resume_from == config.checkpoint_dir
-            ? *store
-            : separate.emplace(config.resume_from);
-    const std::optional<RoundCheckpoint> rc =
-        load_latest_round_checkpoint(resume_store);
-    for (const std::string& diag : resume_store.report().diagnostics) {
-      std::fprintf(stderr, "warning: checkpoint recovery: %s\n", diag.c_str());
-    }
-    APPFL_CHECK_MSG(rc.has_value(), "resume_from='" << config.resume_from
-                        << "' holds no loadable checkpoint");
+    const RoundCheckpoint rc =
+        resume_round_checkpoint(config.resume_from, store);
     APPFL_CHECK_MSG(
-        rc->seed == config.seed && rc->num_clients == n &&
-            rc->param_count == param_count &&
-            rc->total_rounds == config.rounds && rc->population == n &&
-            rc->participants_per_round == k,
+        rc.seed == config.seed && rc.num_clients == n &&
+            rc.param_count == param_count &&
+            rc.total_rounds == config.rounds && rc.population == n &&
+            rc.participants_per_round == k,
         "checkpoint fingerprint mismatch: checkpoint is (seed="
-            << rc->seed << ", population=" << rc->population
-            << ", participants=" << rc->participants_per_round << ", params="
-            << rc->param_count << ", rounds=" << rc->total_rounds
+            << rc.seed << ", population=" << rc.population
+            << ", participants=" << rc.participants_per_round << ", params="
+            << rc.param_count << ", rounds=" << rc.total_rounds
             << "), this run is (seed=" << config.seed << ", population=" << n
             << ", participants=" << k << ", params=" << param_count
             << ", rounds=" << config.rounds << ")");
-    APPFL_CHECK_MSG(rc->server.kind == "population",
-                    "checkpoint was written by a '" << rc->server.kind
+    APPFL_CHECK_MSG(rc.server.kind == "population",
+                    "checkpoint was written by a '" << rc.server.kind
                         << "' server, not the population engine");
-    w = rc->parameters;
+    w = rc.parameters;
     APPFL_CHECK_MSG(w.size() == param_count, "checkpoint parameter size "
                         << w.size() << " != model " << param_count);
-    sampler.set_state(rc->sampler_state);
+    sampler.set_state(rc.sampler_state);
     participation.clear();
-    for (const auto& [id, count] : rc->participation) participation[id] = count;
-    clock.sync_to(rc->comm.sim_now);
-    stats = rc->comm.stats;
+    for (const auto& [id, count] : rc.participation) participation[id] = count;
+    clock.sync_to(rc.comm.sim_now);
+    stats = rc.comm.stats;
     comm::FaultInjector::PersistentState fs;
     fs.stats.drops = stats.drops;
     fs.stats.duplicates = stats.duplicates;
     fs.stats.reorders = stats.reorders;
     fs.stats.corruptions = stats.corruptions;
     fs.stats.delays = stats.delays;
-    fs.link_keys = rc->comm.link_keys;
-    fs.link_seqs = rc->comm.link_seqs;
+    fs.link_keys = rc.comm.link_keys;
+    fs.link_seqs = rc.comm.link_seqs;
     net.restore_fault_state(fs);
-    start_round = rc->rounds_completed + 1;
-    out.run.resumed_from_round = rc->rounds_completed;
+    start_round = rc.rounds_completed + 1;
+    out.run.resumed_from_round = rc.rounds_completed;
   }
 
   // Secure aggregation (dp/secure_agg.hpp): the share fan-out rides the same

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -220,47 +219,33 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
   std::uint32_t start_round = 1;
   if (!config.resume_from.empty()) {
     APPFL_SPAN("ckpt.restore", "ckpt");
-    obs::flight_record("ckpt.restore");
-    // Resuming through the save store (same directory) keeps the A/B
-    // alternation correct: the next save overwrites the slot we did NOT
-    // load from.
-    std::optional<CheckpointStore> separate;
-    CheckpointStore& resume_store =
-        store && config.resume_from == config.checkpoint_dir
-            ? *store
-            : separate.emplace(config.resume_from);
-    const std::optional<RoundCheckpoint> rc =
-        load_latest_round_checkpoint(resume_store);
-    for (const std::string& diag : resume_store.report().diagnostics) {
-      std::fprintf(stderr, "warning: checkpoint recovery: %s\n", diag.c_str());
-    }
-    APPFL_CHECK_MSG(rc.has_value(), "resume_from='" << config.resume_from
-                        << "' holds no loadable checkpoint");
+    const RoundCheckpoint rc =
+        resume_round_checkpoint(config.resume_from, store);
     APPFL_CHECK_MSG(
-        rc->seed == config.seed && rc->num_clients == num_clients &&
-            rc->param_count == server.num_parameters() &&
-            rc->total_rounds == config.rounds,
+        rc.seed == config.seed && rc.num_clients == num_clients &&
+            rc.param_count == server.num_parameters() &&
+            rc.total_rounds == config.rounds,
         "checkpoint fingerprint mismatch: checkpoint is (seed="
-            << rc->seed << ", clients=" << rc->num_clients << ", params="
-            << rc->param_count << ", rounds=" << rc->total_rounds
+            << rc.seed << ", clients=" << rc.num_clients << ", params="
+            << rc.param_count << ", rounds=" << rc.total_rounds
             << "), this run is (seed=" << config.seed << ", clients="
             << num_clients << ", params=" << server.num_parameters()
             << ", rounds=" << config.rounds << ")");
-    server.import_state(rc->server);  // also cross-checks the kind tag
+    server.import_state(rc.server);  // also cross-checks the kind tag
     for (std::size_t p = 0; p < num_clients; ++p) {
-      clients[p]->import_state(rc->clients[p]);
-      accountant.restore_spent(p, rc->clients[p].dp_spent);
+      clients[p]->import_state(rc.clients[p]);
+      accountant.restore_spent(p, rc.clients[p].dp_spent);
     }
-    sampler.set_state(rc->sampler_state);
+    sampler.set_state(rc.sampler_state);
     comm::Communicator::PersistentState cs;
-    cs.sim_now = rc->comm.sim_now;
-    cs.stats = rc->comm.stats;
-    cs.link_keys = rc->comm.link_keys;
-    cs.link_seqs = rc->comm.link_seqs;
-    cs.ef_residuals = rc->comm.ef_residuals;
+    cs.sim_now = rc.comm.sim_now;
+    cs.stats = rc.comm.stats;
+    cs.link_keys = rc.comm.link_keys;
+    cs.link_seqs = rc.comm.link_seqs;
+    cs.ef_residuals = rc.comm.ef_residuals;
     comm.restore_persistent_state(cs);
-    start_round = rc->rounds_completed + 1;
-    result.resumed_from_round = rc->rounds_completed;
+    start_round = rc.rounds_completed + 1;
+    result.resumed_from_round = rc.rounds_completed;
   }
 
   for (std::uint32_t round = start_round; round <= config.rounds; ++round) {

@@ -8,13 +8,24 @@
 
 #include <cstring>
 #include <filesystem>
+#include <ostream>
+#include <stdexcept>
+#include <string>
 
 #include "core/async_runner.hpp"
 #include "core/checkpoint.hpp"
 #include "core/runner.hpp"
 #include "data/synth.hpp"
 #include "hw/device.hpp"
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
+
+// Names table rows in gtest failure messages.
+namespace appfl::core {
+void PrintTo(AsyncStrategyKind kind, std::ostream* os) {
+  *os << to_string(kind);
+}
+}  // namespace appfl::core
 
 namespace {
 
@@ -109,18 +120,6 @@ TEST(Async, LearnsAboveChance) {
   EXPECT_GT(result.final_accuracy, 0.5);  // 10-class chance = 0.1
 }
 
-TEST(Async, DeterministicGivenSeed) {
-  const auto split = split_of();
-  const auto a = appfl::core::run_async(base_async(), split);
-  const auto b = appfl::core::run_async(base_async(), split);
-  ASSERT_EQ(a.events.size(), b.events.size());
-  EXPECT_EQ(a.final_accuracy, b.final_accuracy);
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    EXPECT_EQ(a.events[i].sim_time, b.events[i].sim_time);
-    EXPECT_EQ(a.events[i].client, b.events[i].client);
-  }
-}
-
 TEST(Async, ValidateEveryControlsValidationPoints) {
   AsyncConfig cfg = base_async();
   cfg.total_updates = 12;
@@ -163,41 +162,26 @@ TEST(Async, IdleFractionGrowsWithDeviceHeterogeneity) {
   EXPECT_GT(homogeneous.final_accuracy, 0.3);
 }
 
-TEST(AsyncIIAdmm, DualReplicasSurviveAsynchrony) {
-  // The paper's no-duals-on-the-wire invariant under the future-work
-  // schedule: asynchronous arrivals, heterogeneous devices, yet every
-  // client dual matches the server replica bit-for-bit.
-  AsyncConfig cfg = base_async();
-  cfg.run.algorithm = appfl::core::Algorithm::kIIAdmm;
-  cfg.run.rho = 2.0F;
-  cfg.run.zeta = 2.0F;
-  cfg.devices = {appfl::hw::a100(), appfl::hw::v100()};
-  const auto result = appfl::core::run_async_iiadmm(cfg, split_of());
-  EXPECT_TRUE(result.duals_consistent);
-  EXPECT_EQ(result.base.applied_updates, 6U * 4U);
-}
-
 TEST(AsyncIIAdmm, LearnsAboveChance) {
   AsyncConfig cfg = base_async();
-  cfg.run.algorithm = appfl::core::Algorithm::kIIAdmm;
+  cfg.strategy.kind = AsyncStrategyKind::kIIAdmm;
   cfg.run.rounds = 10;
   cfg.run.rho = 2.0F;
   cfg.run.zeta = 2.0F;
-  const auto result = appfl::core::run_async_iiadmm(cfg, split_of(96));
-  EXPECT_GT(result.base.final_accuracy, 0.5);
+  const auto result = appfl::core::run_async(cfg, split_of(96));
+  EXPECT_EQ(result.strategy, "iiadmm");
+  EXPECT_EQ(result.committed_updates, result.applied_updates);
+  EXPECT_GT(result.final_accuracy, 0.5);
 }
 
-TEST(AsyncIIAdmm, DeterministicGivenSeed) {
+TEST(AsyncIIAdmm, RejectsAdaptiveRho) {
+  // The server would adapt ρ per arrival while every dispatched client
+  // keeps the configured ρ, so the dual replicas would drift apart.
   AsyncConfig cfg = base_async();
-  cfg.run.algorithm = appfl::core::Algorithm::kIIAdmm;
-  const auto split = split_of(24);
-  const auto a = appfl::core::run_async_iiadmm(cfg, split);
-  const auto b = appfl::core::run_async_iiadmm(cfg, split);
-  EXPECT_EQ(a.base.final_accuracy, b.base.final_accuracy);
-  ASSERT_EQ(a.base.events.size(), b.base.events.size());
-  for (std::size_t i = 0; i < a.base.events.size(); ++i) {
-    EXPECT_EQ(a.base.events[i].client, b.base.events[i].client);
-  }
+  cfg.strategy.kind = AsyncStrategyKind::kIIAdmm;
+  cfg.total_updates = 2;
+  cfg.run.adaptive_rho = true;
+  EXPECT_THROW(appfl::core::run_async(cfg, split_of(16)), appfl::Error);
 }
 
 TEST(Async, RejectsBadMixingAlpha) {
@@ -215,12 +199,13 @@ TEST(Async, OverflowedUpdateBudgetIsAUsageError) {
   AsyncConfig cfg = base_async();
   cfg.run.rounds = std::size_t{1} << 62;  // × 4 clients wraps to exactly 0
   EXPECT_THROW(appfl::core::run_async(cfg, split_of(16)), appfl::Error);
-  EXPECT_THROW(appfl::core::run_async_iiadmm(cfg, split_of(16)), appfl::Error);
+  cfg.strategy.kind = AsyncStrategyKind::kIIAdmm;
+  EXPECT_THROW(appfl::core::run_async(cfg, split_of(16)), appfl::Error);
 }
 
 // The async schedules model uplink drop only. Every other fault kind used to
-// be silently ignored (and run_async_iiadmm ignored drop too); each runner
-// now rejects what it does not simulate before training anything.
+// be silently ignored (and async IIADMM ignored drop too); each runner now
+// rejects what it does not simulate before training anything.
 std::vector<appfl::comm::FaultConfig> unsimulated_faults() {
   std::vector<appfl::comm::FaultConfig> out(5);
   out[0].duplicate = 0.1;
@@ -253,15 +238,17 @@ TEST(Async, SyncBaselineRejectsFaultsItDoesNotSimulate) {
   }
 }
 
-TEST(Async, AsyncIIAdmmRejectsAnyFault) {
+TEST(Async, IIAdmmStrategyRejectsAnyFault) {
+  // Drop too: a lost arrival would have to roll back the client's
+  // speculative dual, which a resumed run cannot do.
   AsyncConfig cfg = base_async();
+  cfg.strategy.kind = AsyncStrategyKind::kIIAdmm;
   cfg.total_updates = 2;
   std::vector<appfl::comm::FaultConfig> all = unsimulated_faults();
   all.emplace_back().drop = 0.3;
   for (const auto& faults : all) {
     cfg.run.faults = faults;
-    EXPECT_THROW(appfl::core::run_async_iiadmm(cfg, split_of(16)),
-                 appfl::Error);
+    EXPECT_THROW(appfl::core::run_async(cfg, split_of(16)), appfl::Error);
   }
 }
 
@@ -308,28 +295,6 @@ TEST(Async, RejectsZeroBufferK) {
   cfg.strategy.kind = AsyncStrategyKind::kFedBuff;
   cfg.strategy.buffer_k = 0;
   EXPECT_THROW(appfl::core::run_async(cfg, split_of(16)), appfl::Error);
-}
-
-TEST(Async, AllStrategiesDeterministicAcrossReruns) {
-  const auto split = split_of();
-  for (const AsyncStrategyKind kind :
-       {AsyncStrategyKind::kFedAsync, AsyncStrategyKind::kFedBuff,
-        AsyncStrategyKind::kFedCompass}) {
-    AsyncConfig cfg = base_async();
-    cfg.strategy.kind = kind;
-    cfg.devices = {appfl::hw::a100(), appfl::hw::v100()};
-    const auto a = appfl::core::run_async(cfg, split);
-    const auto b = appfl::core::run_async(cfg, split);
-    EXPECT_TRUE(same_bits(a.final_w, b.final_w))
-        << appfl::core::to_string(kind);
-    EXPECT_EQ(a.final_accuracy, b.final_accuracy);
-    ASSERT_EQ(a.events.size(), b.events.size());
-    for (std::size_t i = 0; i < a.events.size(); ++i) {
-      EXPECT_EQ(a.events[i].sim_time, b.events[i].sim_time);
-      EXPECT_EQ(a.events[i].client, b.events[i].client);
-      EXPECT_EQ(a.events[i].committed, b.events[i].committed);
-    }
-  }
 }
 
 TEST(Async, StalenessWeightingFamiliesDiffer) {
@@ -394,42 +359,6 @@ TEST(Async, DropFaultsAreDeterministicAndCounted) {
   EXPECT_GT(a.sim_seconds, 0.0);
 }
 
-TEST(Async, FedBuffPartialBufferSurvivesKillAndResume) {
-  // Kill the run with a partially filled FedBuff buffer (6 arrivals, K=4 ⇒
-  // one commit + 2 buffered deltas), resume, and demand the final model be
-  // bit-identical to the uninterrupted run.
-  const auto split = split_of();
-  AsyncConfig cfg = base_async();
-  cfg.strategy.kind = AsyncStrategyKind::kFedBuff;
-  cfg.strategy.buffer_k = 4;
-  const auto full = appfl::core::run_async(cfg, split);
-
-  TempDir dir("appfl_async_fedbuff_resume");
-  AsyncConfig first = cfg;
-  first.run.checkpoint_dir = dir.str();
-  first.run.checkpoint_every_n_rounds = 3;
-  first.run.halt_after_round = 6;
-  const auto killed = appfl::core::run_async(first, split);
-  EXPECT_EQ(killed.applied_updates, 6U);
-  EXPECT_GT(killed.checkpoints_written, 0U);
-  {
-    appfl::core::CheckpointStore store(dir.str());
-    const auto ac = appfl::core::load_latest_async_checkpoint(store);
-    ASSERT_TRUE(ac.has_value());
-    EXPECT_EQ(ac->strategy, "fedbuff");
-    EXPECT_EQ(ac->buffer.size(), 2U);  // the partial buffer rides along
-    EXPECT_EQ(ac->buffer_weights.size(), 2U);
-  }
-
-  AsyncConfig second = cfg;
-  second.run.resume_from = dir.str();
-  const auto resumed = appfl::core::run_async(second, split);
-  EXPECT_EQ(resumed.resumed_from_update, 6U);
-  EXPECT_TRUE(same_bits(resumed.final_w, full.final_w));
-  EXPECT_EQ(resumed.final_accuracy, full.final_accuracy);
-  EXPECT_EQ(resumed.committed_updates, full.committed_updates);
-}
-
 TEST(Async, ResumeRejectsStrategyMismatch) {
   // A FedBuff checkpoint restored into a FedAsync run would silently train
   // a different algorithm; the strategy tag must make that a hard error.
@@ -445,35 +374,166 @@ TEST(Async, ResumeRejectsStrategyMismatch) {
   EXPECT_THROW(appfl::core::run_async(second, split), appfl::Error);
 }
 
-TEST(AsyncIIAdmm, CheckpointsHaltsAndResumesBitIdentical) {
-  // Regression: run_async_iiadmm used to silently ignore the checkpoint
-  // options and halt_after_round — a resume-configured run wrote nothing
-  // and never halted. It now honors the same contract as run_async, down
-  // to bit-identical resume of the server's (z_p, λ_p) replicas.
-  const auto split = split_of();
-  AsyncConfig cfg = base_async();
-  cfg.run.algorithm = appfl::core::Algorithm::kIIAdmm;
-  cfg.run.rho = 2.0F;
-  cfg.run.zeta = 2.0F;
-  cfg.devices = {appfl::hw::a100(), appfl::hw::v100()};
-  const auto full = appfl::core::run_async_iiadmm(cfg, split);
+// --- One table over every strategy -----------------------------------------
+// Determinism and the kill/halt/resume contract are the same for each
+// strategy, so they run as one parameterized table. The iiadmm rows also
+// assert the paper's no-duals-on-the-wire invariant, read from the final
+// checkpoint: every client's dual equals the server replica bit-for-bit.
 
-  TempDir dir("appfl_async_iiadmm_resume");
+class AsyncStrategyTable : public ::testing::TestWithParam<AsyncStrategyKind> {
+ protected:
+  std::string name() const { return appfl::core::to_string(GetParam()); }
+  bool is_iiadmm() const { return GetParam() == AsyncStrategyKind::kIIAdmm; }
+
+  AsyncConfig config() const {
+    AsyncConfig cfg = base_async();
+    cfg.strategy.kind = GetParam();
+    cfg.strategy.buffer_k = 4;  // FedBuff only
+    cfg.run.rho = 2.0F;         // IIADMM only
+    cfg.run.zeta = 2.0F;
+    cfg.devices = {appfl::hw::a100(), appfl::hw::v100()};
+    return cfg;
+  }
+};
+
+appfl::core::AsyncCheckpoint latest_checkpoint(const std::string& dir) {
+  appfl::core::CheckpointStore store(dir);
+  const auto ac = appfl::core::load_latest_async_checkpoint(store);
+  if (!ac.has_value()) throw std::runtime_error("no checkpoint in " + dir);
+  return *ac;
+}
+
+void expect_duals_consistent(const appfl::core::AsyncCheckpoint& ac) {
+  ASSERT_EQ(ac.server_dual.size(), ac.num_clients);
+  ASSERT_EQ(ac.clients.size(), ac.num_clients);
+  bool any_nonzero = false;
+  for (std::size_t p = 0; p < ac.num_clients; ++p) {
+    EXPECT_TRUE(same_bits(ac.clients[p].dual, ac.server_dual[p]))
+        << "client " << p + 1 << " dual differs from the server replica";
+    for (float l : ac.server_dual[p]) any_nonzero |= l != 0.0F;
+  }
+  EXPECT_TRUE(any_nonzero) << "no dual step ever ran";
+}
+
+void expect_same_events(const std::vector<appfl::core::AsyncEvent>& a,
+                        const std::vector<appfl::core::AsyncEvent>& b,
+                        std::size_t b_offset = 0) {
+  ASSERT_EQ(a.size() + b_offset, b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const auto& x = a[i];
+    const auto& y = b[i + b_offset];
+    EXPECT_EQ(x.sim_time, y.sim_time) << "event " << i;
+    EXPECT_EQ(x.client, y.client) << "event " << i;
+    EXPECT_EQ(x.staleness, y.staleness) << "event " << i;
+    EXPECT_EQ(x.mixing, y.mixing) << "event " << i;
+    EXPECT_EQ(x.committed, y.committed) << "event " << i;
+  }
+}
+
+TEST_P(AsyncStrategyTable, DeterministicAcrossReruns) {
+  // A rerun with checkpointing on must reproduce a plain run bit-for-bit:
+  // same model, same events, same accuracy.
+  const auto split = split_of();
+  const AsyncConfig cfg = config();
+  const auto a = appfl::core::run_async(cfg, split);
+  TempDir dir("appfl_async_table_rerun_" + name());
+  AsyncConfig ckpt = cfg;
+  ckpt.run.checkpoint_dir = dir.str();
+  const auto b = appfl::core::run_async(ckpt, split);
+  EXPECT_EQ(a.strategy, name());
+  EXPECT_TRUE(same_bits(a.final_w, b.final_w));
+  EXPECT_EQ(a.final_accuracy, b.final_accuracy);
+  EXPECT_EQ(a.applied_updates, 24U);
+  expect_same_events(a.events, b.events);
+  if (is_iiadmm()) expect_duals_consistent(latest_checkpoint(dir.str()));
+}
+
+TEST_P(AsyncStrategyTable, KillHaltResumeIsBitIdentical) {
+  // Halt after 7 arrivals (FedBuff, K = 4: one commit plus 3 buffered
+  // deltas), resume, and demand the uninterrupted run's final bits.
+  const auto split = split_of();
+  const AsyncConfig cfg = config();
+  const auto full = appfl::core::run_async(cfg, split);
+
+  TempDir dir("appfl_async_table_resume_" + name());
   AsyncConfig first = cfg;
   first.run.checkpoint_dir = dir.str();
-  first.run.checkpoint_every_n_rounds = 4;
+  first.run.checkpoint_every_n_rounds = 3;
   first.run.halt_after_round = 7;
-  const auto killed = appfl::core::run_async_iiadmm(first, split);
-  EXPECT_EQ(killed.base.applied_updates, 7U);
-  EXPECT_GT(killed.base.checkpoints_written, 0U);
+  const auto killed = appfl::core::run_async(first, split);
+  EXPECT_EQ(killed.applied_updates, 7U);
+  EXPECT_EQ(killed.checkpoints_written, 3U);  // at 3, 6 and the halt
+  const auto halted = latest_checkpoint(dir.str());
+  EXPECT_EQ(halted.applied_updates, 7U);
+  EXPECT_EQ(halted.strategy, name());
+  if (GetParam() == AsyncStrategyKind::kFedBuff) {
+    EXPECT_EQ(halted.buffer.size(), 3U);  // the partial buffer rides along
+  }
+
+  AsyncConfig second = cfg;
+  second.run.checkpoint_dir = dir.str();
+  second.run.resume_from = dir.str();
+  const auto resumed = appfl::core::run_async(second, split);
+  EXPECT_EQ(resumed.resumed_from_update, 7U);
+  EXPECT_TRUE(same_bits(resumed.final_w, full.final_w));
+  EXPECT_EQ(resumed.final_accuracy, full.final_accuracy);
+  EXPECT_EQ(resumed.committed_updates, full.committed_updates);
+  EXPECT_EQ(resumed.dropped_updates, full.dropped_updates);
+  expect_same_events(resumed.events, full.events, 7);
+  if (is_iiadmm()) expect_duals_consistent(latest_checkpoint(dir.str()));
+}
+
+TEST_P(AsyncStrategyTable, TornNewestSlotResumesFromTheOlderOne) {
+  // A crash mid-save tears the newest slot. Resume must say so on stderr,
+  // record the restore in the flight ring, fall back to the older slot and
+  // still end at the uninterrupted run's bits.
+  const auto split = split_of();
+  const AsyncConfig cfg = config();
+  const auto full = appfl::core::run_async(cfg, split);
+
+  TempDir dir("appfl_async_table_torn_" + name());
+  AsyncConfig first = cfg;
+  first.run.checkpoint_dir = dir.str();
+  first.run.checkpoint_every_n_rounds = 2;
+  first.run.halt_after_round = 6;
+  (void)appfl::core::run_async(first, split);
+  std::string newest_slot;
+  {
+    appfl::core::CheckpointStore probe(dir.str());
+    const auto newest = probe.load_latest();
+    ASSERT_TRUE(newest.has_value());
+    ASSERT_EQ(newest->sequence, 6U);
+    newest_slot = newest->slot;
+  }
+  const std::filesystem::path torn = dir.path / newest_slot;
+  std::filesystem::resize_file(torn, std::filesystem::file_size(torn) / 3);
 
   AsyncConfig second = cfg;
   second.run.resume_from = dir.str();
-  const auto resumed = appfl::core::run_async_iiadmm(second, split);
-  EXPECT_EQ(resumed.base.resumed_from_update, 7U);
-  EXPECT_TRUE(resumed.duals_consistent);
-  EXPECT_TRUE(same_bits(resumed.base.final_w, full.base.final_w));
-  EXPECT_EQ(resumed.base.final_accuracy, full.base.final_accuracy);
+  second.run.obs_level = "metrics";  // enables the flight ring; no bits move
+  appfl::obs::FlightRecorder::global().clear();
+  ::testing::internal::CaptureStderr();
+  const auto resumed = appfl::core::run_async(second, split);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("warning: checkpoint recovery: " + newest_slot),
+            std::string::npos)
+      << err;
+  bool restore_recorded = false;
+  for (const auto& e : appfl::obs::FlightRecorder::global().events()) {
+    restore_recorded |= std::string(e.kind) == "ckpt.restore";
+  }
+  EXPECT_TRUE(restore_recorded);
+  EXPECT_EQ(resumed.resumed_from_update, 4U);
+  EXPECT_TRUE(same_bits(resumed.final_w, full.final_w));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllStrategies, AsyncStrategyTable,
+    ::testing::Values(AsyncStrategyKind::kFedAsync, AsyncStrategyKind::kFedBuff,
+                      AsyncStrategyKind::kFedCompass,
+                      AsyncStrategyKind::kIIAdmm),
+    [](const ::testing::TestParamInfo<AsyncStrategyKind>& info) {
+      return appfl::core::to_string(info.param);
+    });
 
 }  // namespace

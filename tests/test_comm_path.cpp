@@ -3,6 +3,7 @@
 // parallel aggregation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -94,8 +95,11 @@ TEST(Envelope, SealInPlaceMatchesSeal) {
   const auto payload = random_bytes(3, 1000);
   const auto sealed = appfl::comm::seal_envelope(payload);
 
-  std::vector<std::uint8_t> in_place(appfl::comm::kEnvelopeOverhead, 0);
-  in_place.insert(in_place.end(), payload.begin(), payload.end());
+  // Reserved header bytes, then the payload, in one allocation.
+  std::vector<std::uint8_t> in_place(
+      appfl::comm::kEnvelopeOverhead + payload.size(), 0);
+  std::copy(payload.begin(), payload.end(),
+            in_place.begin() + appfl::comm::kEnvelopeOverhead);
   appfl::comm::seal_envelope_in_place(in_place);
   EXPECT_EQ(in_place, sealed);
 

@@ -71,7 +71,9 @@ TEST(EventEngine, RoundCompletesWithSampledCohort) {
     for (std::size_t i = 0; i < round.size(); ++i) {
       EXPECT_GE(round[i], 1U);
       EXPECT_LE(round[i], 400U);
-      if (i > 0) EXPECT_LT(round[i - 1], round[i]);
+      if (i > 0) {
+        EXPECT_LT(round[i - 1], round[i]);
+      }
     }
   }
   // Traffic: k uplinks and k accounted downlinks per round.
@@ -269,7 +271,9 @@ TEST(EventEngine, PopulationCheckpointTagsRoundTrip) {
   classic.rounds_completed = 1;
   classic.parameters = {5.0F};
   classic.server.kind = "fedavg";
-  classic.clients.push_back({.id = 1});
+  appfl::core::ClientStateCkpt client;
+  client.id = 1;
+  classic.clients.push_back(client);
   const auto classic_back = appfl::core::decode_round_checkpoint(
       appfl::core::encode_round_checkpoint(classic));
   EXPECT_EQ(classic_back.population, 0U);

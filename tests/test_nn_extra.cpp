@@ -59,7 +59,9 @@ TEST(Dropout, BackwardUsesTheSameMask) {
   for (std::size_t i = 0; i < 64; ++i) {
     // Gradient flows exactly where the activation survived.
     EXPECT_EQ(gx[i] == 0.0F, y[i] == 0.0F) << i;
-    if (y[i] != 0.0F) EXPECT_NEAR(gx[i], 2.0F, 1e-6F);  // 1/(1−p) = 2
+    if (y[i] != 0.0F) {
+      EXPECT_NEAR(gx[i], 2.0F, 1e-6F);  // 1/(1−p) = 2
+    }
   }
 }
 

@@ -151,7 +151,9 @@ TEST(SampleKOfN, SortedDistinctOneBasedInRange) {
   for (std::size_t i = 0; i < picked.size(); ++i) {
     EXPECT_GE(picked[i], 1U);
     EXPECT_LE(picked[i], 1000U);
-    if (i > 0) EXPECT_LT(picked[i - 1], picked[i]);  // sorted AND distinct
+    if (i > 0) {
+      EXPECT_LT(picked[i - 1], picked[i]);  // sorted AND distinct
+    }
   }
 }
 
