@@ -8,6 +8,7 @@
 #include "comm/compression.hpp"
 #include "comm/envelope.hpp"
 #include "obs/flight.hpp"
+#include "obs/health.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
@@ -69,6 +70,19 @@ CommInstruments& instruments() {
 }
 }  // namespace
 
+void Communicator::bump(std::uint64_t TrafficStats::*counter) {
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++(stats_.*counter);
+  }
+  if (!obs::metrics_on()) return;
+  CommInstruments& in = instruments();
+  (counter == &TrafficStats::discards       ? in.discards
+   : counter == &TrafficStats::crc_failures ? in.crc_failures
+                                            : in.gather_timeouts)
+      .inc();
+}
+
 Communicator::Communicator(Protocol protocol, std::size_t num_clients,
                            std::uint64_t seed, CodecConfig codec,
                            ReliabilityConfig reliability)
@@ -85,7 +99,6 @@ Communicator::Communicator(Protocol protocol, std::size_t num_clients,
   APPFL_CHECK_MSG(codec_.int8_range >= 0.0,
                   "int8 clip range must be non-negative");
   ef_residual_.resize(num_clients_);
-  uplink_health_.resize(num_clients_);
   APPFL_CHECK_MSG(reliability_.gather_timeout_s > 0.0,
                   "gather deadline must be positive");
   APPFL_CHECK_MSG(reliability_.ack_timeout_s > 0.0 &&
@@ -216,41 +229,23 @@ std::optional<MessageView> Communicator::decode_frame_view(
     std::span<const std::uint8_t> bytes) {
   const bool timed = obs::metrics_on();
   const double t0 = timed ? obs::Tracer::global().now() : 0.0;
-  const auto done = [&] {
-    if (timed) instruments().decode_s.record(obs::Tracer::global().now() - t0);
-  };
-  if (!network_.faults_enabled()) {
-    auto v = protocol_ == Protocol::kMpi ? decode_raw_view(bytes)
-                                         : decode_proto_view(bytes);
-    done();
-    return v;
-  }
-  const auto payload = open_envelope(bytes);
-  if (!payload) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.crc_failures;
-    }
-    if (timed) instruments().crc_failures.inc();
-    done();
-    return std::nullopt;
-  }
+  const bool framed = network_.faults_enabled();
+  const auto payload = framed ? open_envelope(bytes) : std::optional(bytes);
+  std::optional<MessageView> v;
   try {
-    auto v = protocol_ == Protocol::kMpi ? decode_raw_view(*payload)
-                                         : decode_proto_view(*payload);
-    done();
-    return v;
-  } catch (const appfl::Error&) {
-    // A CRC collision let damaged bytes through, or the payload was built
-    // malformed; either way decoding must not take the process down.
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.crc_failures;
+    if (payload) {
+      v = protocol_ == Protocol::kMpi ? decode_raw_view(*payload)
+                                      : decode_proto_view(*payload);
     }
-    if (timed) instruments().crc_failures.inc();
-    done();
-    return std::nullopt;
+  } catch (const appfl::Error&) {
+    // Unframed, malformed bytes are a caller bug. Framed, a CRC collision
+    // let damaged bytes through (or the payload was built malformed); either
+    // way decoding must not take the process down.
+    if (!framed) throw;
   }
+  if (!v) bump(&TrafficStats::crc_failures);
+  if (timed) instruments().decode_s.record(obs::Tracer::global().now() - t0);
+  return v;
 }
 
 void Communicator::broadcast_global(
@@ -348,11 +343,9 @@ bool Communicator::send_update(std::uint32_t client, const Message& m) {
       stats_.bytes_up += bytes.size();
       stats_.bytes_up_precodec += precodec_bytes;
       ++stats_.messages_up;
-      if (attempt > 0) {
-        ++stats_.retries;
-        ++uplink_health_[client - 1].retransmits;
-      }
+      if (attempt > 0) ++stats_.retries;
     }
+    if (attempt > 0 && health_ != nullptr) health_->add_retransmits(client, 1);
     if (obs::metrics_on()) {
       instruments().bytes_up.add(bytes.size());
       instruments().bytes_up_precodec.add(precodec_bytes);
@@ -360,9 +353,8 @@ bool Communicator::send_update(std::uint32_t client, const Message& m) {
       if (attempt > 0) instruments().retries.inc();
     }
     const auto outcome = network_.send(client, 0, bytes, now + backoff);
-    if (outcome.delivered && outcome.corrupted) {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++uplink_health_[client - 1].corrupt;
+    if (outcome.delivered && outcome.corrupted && health_ != nullptr) {
+      health_->add_corrupt_frames(client, 1);
     }
     // A corrupted delivery reaches the server but is CRC-discarded there,
     // so the receiver never acks it — to the sender it is a drop.
@@ -396,11 +388,7 @@ std::optional<Message> Communicator::try_recv_global(std::uint32_t client,
   const double now = clock_.now();
   while (auto d = network_.try_recv_ready(client, now)) {
     if (d->from != 0) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.discards;
-      }
-      if (obs::metrics_on()) instruments().discards.inc();
+      bump(&TrafficStats::discards);
       pool_.release(std::move(d->bytes));
       continue;
     }
@@ -414,11 +402,7 @@ std::optional<Message> Communicator::try_recv_global(std::uint32_t client,
     }
     if (v) {
       // A broadcast from an earlier round that was delayed past its window.
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.discards;
-      }
-      if (obs::metrics_on()) instruments().discards.inc();
+      bump(&TrafficStats::discards);
     }  // else: counted by decode_frame_view
     pool_.release(std::move(d->bytes));
   }
@@ -430,161 +414,159 @@ std::vector<Message> Communicator::gather_locals(std::uint32_t round,
   return gather_batch(round, expected).take_messages();
 }
 
+double Communicator::drain_gather(
+    MessageKind kind, std::uint32_t round, std::size_t expected, double start,
+    const std::function<bool(Datagram&, const MessageView&)>& accept) {
+  if (expected == 0) expected = num_clients_;
+  APPFL_CHECK_MSG(expected <= num_clients_,
+                  "cannot gather " << expected << " messages from "
+                                   << num_clients_ << " clients");
+  std::vector<bool> seen(num_clients_ + 1, false);
+  std::size_t accepted = 0;
+  // Validates one datagram: duplicates, stale rounds, other kinds, unknown
+  // senders, and damaged payloads are discarded and counted — never fatal.
+  // Validation runs on a zero-copy view into the datagram, so a rejected
+  // message never copies its (multi-MB) payload. Returns whether the
+  // datagram was accepted.
+  const auto consider = [&](Datagram& d) {
+    bool ok = false;
+    bool kept = false;
+    std::optional<MessageView> v = decode_frame_view(d.bytes);
+    if (!v) {
+      // counted by decode_frame_view
+    } else if (v->kind != kind || v->sender < 1 || v->sender > num_clients_ ||
+               v->round != round || seen[v->sender]) {
+      bump(&TrafficStats::discards);
+    } else {
+      seen[v->sender] = true;
+      ++accepted;
+      ok = true;
+      kept = accept(d, *v);
+    }
+    if (!kept) pool_.release(std::move(d.bytes));
+    return ok;
+  };
+
+  if (!network_.faults_enabled()) {
+    // Fault-free path: identical timing and byte accounting to the
+    // pre-fault communicator. Every caller sends before it gathers, so a
+    // mailbox that runs dry short of `expected` can never be refilled —
+    // fail loudly instead of letting a blocking recv turn a caller bug (a
+    // missing send, or a discarded double-send) into a silent deadlock.
+    std::size_t discarded = 0;
+    while (accepted < expected) {
+      std::optional<Datagram> d = network_.try_recv(0);
+      if (!d) {
+        // Unfillable gather: a flight-recorder trigger — dump the black
+        // box before the error unwinds (or takes the process down).
+        obs::flight_record(
+            "gather.unfillable",
+            "{\"round\":" + std::to_string(round) +
+                ",\"discarded\":" + std::to_string(discarded) +
+                ",\"received\":" + std::to_string(accepted) +
+                ",\"expected\":" + std::to_string(expected) + "}");
+        obs::FlightRecorder::global().dump("unfillable-gather");
+        APPFL_CHECK_MSG(false, "gather(round " << round << ") cannot fill: "
+                                   << accepted << " of " << expected
+                                   << " messages arrived (" << discarded
+                                   << " discarded), and with the fault "
+                                      "plane off nothing else can arrive");
+      }
+      if (!consider(*d)) ++discarded;
+    }
+    return 0.0;
+  }
+  // Deadline drain: consume everything deliverable "now", fast-forward to
+  // the next scheduled delivery while it is within the deadline, and give
+  // up on whoever is left once nothing more can arrive in time.
+  const double deadline = start + reliability_.gather_timeout_s;
+  double vt = start;
+  while (accepted < expected) {
+    if (auto d = network_.try_recv_ready(0, vt)) {
+      consider(*d);
+      continue;
+    }
+    const double next = network_.next_deliver_at(0);
+    if (next >= 0.0 && next <= deadline) {
+      vt = std::max(vt, next);
+      continue;
+    }
+    break;  // nothing else can make the deadline
+  }
+  if (accepted < expected) {
+    bump(&TrafficStats::gather_timeouts);
+    vt = deadline;  // the server waited the round out
+  }
+  // Whatever else is already deliverable at the finishing time (a late
+  // duplicate, a stale frame) is drained now. Concurrent senders push in
+  // any order, so leaving it queued would make the round it is counted in
+  // depend on thread interleaving.
+  while (auto d = network_.try_recv_ready(0, vt)) consider(*d);
+  return vt - start;
+}
+
 GatherBatch Communicator::gather_batch(std::uint32_t round,
                                        std::size_t expected) {
   obs::ScopedSpan span("comm.gather", "comm");
   span.set_arg("round", round);
-  if (expected == 0) expected = num_clients_;
-  APPFL_CHECK_MSG(expected <= num_clients_,
-                  "cannot gather " << expected << " updates from "
-                                   << num_clients_ << " clients");
   GatherBatch batch;
   batch.pool_ = &pool_;
-  batch.updates_.reserve(expected);
-  batch.buffers_.reserve(expected);
-  std::vector<bool> seen(num_clients_ + 1, false);
   std::vector<std::size_t> upload_bytes;
-  upload_bytes.reserve(expected);
   std::vector<std::uint32_t> upload_senders;
-  upload_senders.reserve(expected);
   std::vector<std::uint64_t> upload_spans;  // sender-side trace context
-  upload_spans.reserve(expected);
 
-  // Validates one datagram: duplicates, stale rounds, unknown senders, and
-  // damaged payloads are discarded and counted — never fatal. Validation
-  // runs on a zero-copy view into the datagram, so a rejected message never
-  // copies its (multi-MB) payload. An accepted datagram is retained by the
-  // batch (its floats are read in place during fused aggregation); a
-  // rejected one recycles into the pool immediately. Returns whether the
-  // datagram was accepted into the gather.
-  const auto consider = [&](Datagram& d) {
-    bool accepted = false;
-    std::optional<MessageView> v = decode_frame_view(d.bytes);
-    if (!v) {
-      // counted by decode_frame_view
-    } else if (v->kind != MessageKind::kLocalUpdate || v->sender < 1 ||
-               v->sender > num_clients_ || v->round != round ||
-               seen[v->sender]) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.discards;
-      }
-      if (obs::metrics_on()) instruments().discards.inc();
-    } else {
-      GatherUpdate u;
-      u.sender = v->sender;
-      u.receiver = v->receiver;
-      u.round = v->round;
-      u.sample_count = v->sample_count;
-      u.loss = v->loss;
-      u.rho = v->rho;
-      u.trace_span = v->trace_span;
-      if (v->codec == 0) {
-        // Raw floats: read them where they landed.
-        u.primal = WirePayload::f32_bytes(v->primal.bytes(), v->primal.size());
-        u.dual = WirePayload::f32_bytes(v->dual.bytes(), v->dual.size());
-      } else {
-        APPFL_CHECK_MSG(v->primal.empty(),
-                        "packed update also carries raw primal");
-        if (v->codec == static_cast<std::uint8_t>(UplinkCodec::kFp16)) {
-          // fp16 stays packed: validate the frame exactly as decode_fp16
-          // would, then aggregate straight from the half bytes (the
-          // widening kernel is the same exact conversion).
-          const std::span<const std::uint8_t> p = v->packed;
-          APPFL_CHECK_MSG(p.size() >= 8, "truncated compressed payload");
-          std::uint64_t count = 0;
-          for (int i = 0; i < 8; ++i) count |= std::uint64_t{p[i]} << (8 * i);
-          APPFL_CHECK_MSG(count <= (p.size() - 8) / 2,
-                          "truncated fp16 payload");
-          APPFL_CHECK_MSG(8 + 2 * count == p.size(),
-                          "trailing bytes in fp16 payload");
-          u.primal = WirePayload::f16_bytes(p.data() + 8, count);
-        } else {
-          // quant8/topk/int8 need real decoding; the result lives in the
-          // batch so downstream aggregation still reads it exactly once.
-          auto decoded = std::make_unique<std::vector<float>>(
-              decode_packed(v->codec, v->packed));
-          u.primal = WirePayload::f32(decoded->data(), decoded->size());
-          batch.decoded_.push_back(std::move(decoded));
-        }
-      }
-      seen[u.sender] = true;
-      upload_bytes.push_back(d.bytes.size());
-      upload_senders.push_back(u.sender);
-      upload_spans.push_back(u.trace_span);
-      batch.buffers_.push_back(
-          std::make_unique<std::vector<std::uint8_t>>(std::move(d.bytes)));
-      batch.updates_.push_back(u);
-      accepted = true;
-    }
-    if (!accepted) pool_.release(std::move(d.bytes));
-    return accepted;
-  };
-  auto& out = batch.updates_;
-
+  // An accepted datagram is retained by the batch: its floats are read in
+  // place during fused aggregation.
   const double start = clock_.now();
-  double waited_s = 0.0;  // extra sim-time spent waiting on late deliveries
-  if (!network_.faults_enabled()) {
-    // Fault-free path: block until every expected update has arrived —
-    // identical timing and byte accounting to the pre-fault communicator.
-    // Discards are still tolerated (a caller may legitimately double-send),
-    // but once one has consumed a datagram and the mailbox runs dry the
-    // missing update can never be replaced: fail loudly instead of letting
-    // the blocking recv turn a caller bug into a silent deadlock.
-    std::size_t discarded = 0;
-    while (out.size() < expected) {
-      std::optional<Datagram> d = network_.try_recv(0);
-      if (!d) {
-        if (discarded > 0) {
-          // Unfillable gather: a flight-recorder trigger — dump the black
-          // box before the error unwinds (or takes the process down).
-          obs::flight_record(
-              "gather.unfillable",
-              "{\"round\":" + std::to_string(round) +
-                  ",\"discarded\":" + std::to_string(discarded) +
-                  ",\"received\":" + std::to_string(out.size()) +
-                  ",\"expected\":" + std::to_string(expected) + "}");
-          obs::FlightRecorder::global().dump("unfillable-gather");
+  const double waited_s = drain_gather(
+      MessageKind::kLocalUpdate, round, expected, start,
+      [&](Datagram& d, const MessageView& v) {
+        GatherUpdate u;
+        u.sender = v.sender;
+        u.receiver = v.receiver;
+        u.round = v.round;
+        u.sample_count = v.sample_count;
+        u.loss = v.loss;
+        u.rho = v.rho;
+        u.trace_span = v.trace_span;
+        if (v.codec == 0) {
+          // Raw floats: read them where they landed.
+          u.primal = WirePayload::f32_bytes(v.primal.bytes(), v.primal.size());
+          u.dual = WirePayload::f32_bytes(v.dual.bytes(), v.dual.size());
+        } else {
+          APPFL_CHECK_MSG(v.primal.empty(),
+                          "packed update also carries raw primal");
+          if (v.codec == static_cast<std::uint8_t>(UplinkCodec::kFp16)) {
+            // fp16 stays packed: validate the frame exactly as decode_fp16
+            // would, then aggregate straight from the half bytes (the
+            // widening kernel is the same exact conversion).
+            const std::span<const std::uint8_t> p = v.packed;
+            APPFL_CHECK_MSG(p.size() >= 8, "truncated compressed payload");
+            std::uint64_t count = 0;
+            for (int i = 0; i < 8; ++i) count |= std::uint64_t{p[i]} << (8 * i);
+            APPFL_CHECK_MSG(count <= (p.size() - 8) / 2,
+                            "truncated fp16 payload");
+            APPFL_CHECK_MSG(8 + 2 * count == p.size(),
+                            "trailing bytes in fp16 payload");
+            u.primal = WirePayload::f16_bytes(p.data() + 8, count);
+          } else {
+            // quant8/topk/int8 need real decoding; the result lives in the
+            // batch so downstream aggregation still reads it exactly once.
+            auto decoded = std::make_unique<std::vector<float>>(
+                decode_packed(v.codec, v.packed));
+            u.primal = WirePayload::f32(decoded->data(), decoded->size());
+            batch.decoded_.push_back(std::move(decoded));
+          }
         }
-        APPFL_CHECK_MSG(discarded == 0,
-                        "gather(round " << round << ") would block forever: "
-                            << discarded << " message(s) were discarded "
-                            << "(stale round, duplicate sender, or bad kind) "
-                            << "and only " << out.size() << " of " << expected
-                            << " expected updates arrived");
-        d = network_.recv(0);
-      }
-      if (!consider(*d)) ++discarded;
-    }
-  } else {
-    // Deadline drain: consume everything deliverable "now", fast-forward to
-    // the next scheduled delivery while it is within the deadline, and give
-    // up on whoever is left once nothing more can arrive in time.
-    const double deadline = start + reliability_.gather_timeout_s;
-    double vt = start;
-    while (out.size() < expected) {
-      if (auto d = network_.try_recv_ready(0, vt)) {
-        consider(*d);
-        continue;
-      }
-      const double next = network_.next_deliver_at(0);
-      if (next >= 0.0 && next <= deadline) {
-        vt = std::max(vt, next);
-        continue;
-      }
-      break;  // nothing else can make the deadline
-    }
-    if (out.size() < expected) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.gather_timeouts;
-      }
-      if (obs::metrics_on()) instruments().gather_timeouts.inc();
-      vt = deadline;  // the server waited the round out
-    }
-    waited_s = vt - start;
-  }
-  std::sort(out.begin(), out.end(),
+        upload_bytes.push_back(d.bytes.size());
+        upload_senders.push_back(u.sender);
+        upload_spans.push_back(u.trace_span);
+        batch.buffers_.push_back(
+            std::make_unique<std::vector<std::uint8_t>>(std::move(d.bytes)));
+        batch.updates_.push_back(u);
+        return true;
+      });
+  std::sort(batch.updates_.begin(), batch.updates_.end(),
             [](const GatherUpdate& a, const GatherUpdate& b) {
               return a.sender < b.sender;
             });
@@ -652,97 +634,17 @@ std::vector<Message> Communicator::gather_secagg_shares(std::uint32_t round,
                                                         std::size_t expected) {
   obs::ScopedSpan span("comm.gather_shares", "comm");
   span.set_arg("round", round);
-  if (expected == 0) expected = num_clients_;
-  APPFL_CHECK_MSG(expected <= num_clients_,
-                  "cannot gather " << expected << " share packets from "
-                                   << num_clients_ << " clients");
   std::vector<Message> out;
-  out.reserve(expected);
-  std::vector<bool> seen(num_clients_ + 1, false);
-
-  // Validates one datagram: anything that is not this round's first
-  // kSecAggShares packet from a known sender is discarded and counted
-  // (e.g. a previous round's delayed update drifting in).
-  const auto consider = [&](Datagram& d) {
-    std::optional<MessageView> v = decode_frame_view(d.bytes);
-    if (!v) {
-      // counted by decode_frame_view
-    } else if (v->kind != MessageKind::kSecAggShares || v->sender < 1 ||
-               v->sender > num_clients_ || v->round != round ||
-               seen[v->sender]) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.discards;
-      }
-      if (obs::metrics_on()) instruments().discards.inc();
-    } else {
-      Message m;
-      m.kind = MessageKind::kSecAggShares;
-      m.sender = v->sender;
-      m.receiver = v->receiver;
-      m.round = v->round;
-      m.sample_count = v->sample_count;
-      v->primal.copy_into(m.primal);
-      seen[m.sender] = true;
-      out.push_back(std::move(m));
-    }
-    pool_.release(std::move(d.bytes));
-  };
-
   const double start = clock_.now();
-  if (!network_.faults_enabled()) {
-    // Fault-free path: every packet arrives; the deadlock guard mirrors
-    // gather_batch.
-    std::size_t discarded = 0;
-    while (out.size() < expected) {
-      std::optional<Datagram> d = network_.try_recv(0);
-      if (!d) {
-        if (discarded > 0) {
-          obs::flight_record(
-              "gather.unfillable",
-              "{\"round\":" + std::to_string(round) +
-                  ",\"discarded\":" + std::to_string(discarded) +
-                  ",\"received\":" + std::to_string(out.size()) +
-                  ",\"expected\":" + std::to_string(expected) + "}");
-          obs::FlightRecorder::global().dump("unfillable-gather");
-        }
-        APPFL_CHECK_MSG(discarded == 0,
-                        "share gather(round " << round
-                            << ") would block forever: " << discarded
-                            << " message(s) were discarded and only "
-                            << out.size() << " of " << expected
-                            << " expected packets arrived");
-        d = network_.recv(0);
-      }
-      const std::size_t before = out.size();
-      consider(*d);
-      if (out.size() == before) ++discarded;
-    }
-  } else {
-    const double deadline = start + reliability_.gather_timeout_s;
-    double vt = start;
-    while (out.size() < expected) {
-      if (auto d = network_.try_recv_ready(0, vt)) {
-        consider(*d);
-        continue;
-      }
-      const double next = network_.next_deliver_at(0);
-      if (next >= 0.0 && next <= deadline) {
-        vt = std::max(vt, next);
-        continue;
-      }
-      break;  // nothing else can make the deadline
-    }
-    if (out.size() < expected) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.gather_timeouts;
-      }
-      if (obs::metrics_on()) instruments().gather_timeouts.inc();
-      vt = deadline;  // the server waited the share phase out
-    }
-    span.set_sim(start, vt - start);
-    clock_.advance(vt - start);
+  const double waited_s = drain_gather(
+      MessageKind::kSecAggShares, round, expected, start,
+      [&](Datagram&, const MessageView& v) {
+        out.push_back(v.detach());
+        return false;
+      });
+  if (network_.faults_enabled()) {
+    span.set_sim(start, waited_s);
+    clock_.advance(waited_s);  // the server waited the share phase out
   }
   std::sort(out.begin(), out.end(), [](const Message& a, const Message& b) {
     return a.sender < b.sender;
@@ -811,9 +713,33 @@ std::vector<Message> GatherBatch::take_messages() const {
   return out;
 }
 
-std::vector<Communicator::UplinkHealth> Communicator::uplink_health() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return uplink_health_;
+TrafficStats with_network_counters(TrafficStats base,
+                                   const InProcNetwork& net) {
+  const FaultStats f = net.fault_stats();
+  base.drops = f.drops;
+  base.duplicates = f.duplicates;
+  base.reorders = f.reorders;
+  base.corruptions = f.corruptions;
+  base.delays = f.delays;
+  base.mailbox_overflows += net.mailbox_overflows();
+  return base;
+}
+
+CommState capture_comm_state(double sim_now, TrafficStats stats,
+                             const InProcNetwork& net) {
+  FaultInjector::PersistentState fs = net.fault_persistent_state();
+  return {sim_now, std::move(stats), std::move(fs.link_keys),
+          std::move(fs.link_seqs), {}};
+}
+
+FaultInjector::PersistentState fault_state(const CommState& s) {
+  return {{.drops = s.stats.drops,
+           .duplicates = s.stats.duplicates,
+           .reorders = s.stats.reorders,
+           .corruptions = s.stats.corruptions,
+           .delays = s.stats.delays},
+          s.link_keys,
+          s.link_seqs};
 }
 
 TrafficStats Communicator::stats() const {
@@ -822,30 +748,16 @@ TrafficStats Communicator::stats() const {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     s = stats_;
   }
-  const FaultStats f = network_.fault_stats();
-  s.drops = f.drops;
-  s.duplicates = f.duplicates;
-  s.reorders = f.reorders;
-  s.corruptions = f.corruptions;
-  s.delays = f.delays;
-  // stats_.mailbox_overflows only carries a restored pre-crash base (the
-  // live count lives in the network's mailboxes), so add rather than assign.
-  s.mailbox_overflows += network_.mailbox_overflows();
-  return s;
+  return with_network_counters(std::move(s), network_);
 }
 
-Communicator::PersistentState Communicator::persistent_state() const {
-  PersistentState s;
-  s.sim_now = clock_.now();
-  s.stats = stats();
-  const FaultInjector::PersistentState fs = network_.fault_persistent_state();
-  s.link_keys = fs.link_keys;
-  s.link_seqs = fs.link_seqs;
+CommState Communicator::persistent_state() const {
+  CommState s = capture_comm_state(clock_.now(), stats(), network_);
   s.ef_residuals = ef_residual_;
   return s;
 }
 
-void Communicator::restore_persistent_state(const PersistentState& s) {
+void Communicator::restore_persistent_state(const CommState& s) {
   clock_.sync_to(s.sim_now);
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -853,15 +765,7 @@ void Communicator::restore_persistent_state(const PersistentState& s) {
     // stats() composes them back on top of this copy either way.
     stats_ = s.stats;
   }
-  FaultInjector::PersistentState fs;
-  fs.stats.drops = s.stats.drops;
-  fs.stats.duplicates = s.stats.duplicates;
-  fs.stats.reorders = s.stats.reorders;
-  fs.stats.corruptions = s.stats.corruptions;
-  fs.stats.delays = s.stats.delays;
-  fs.link_keys = s.link_keys;
-  fs.link_seqs = s.link_seqs;
-  network_.restore_fault_state(fs);
+  network_.restore_fault_state(fault_state(s));
   ef_residual_ = s.ef_residuals;
   ef_residual_.resize(num_clients_);  // tolerate snapshots without residuals
 }

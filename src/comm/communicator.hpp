@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -29,6 +30,10 @@
 #include "comm/mailbox.hpp"
 #include "comm/message.hpp"
 #include "comm/sim_clock.hpp"
+
+namespace appfl::obs {
+class HealthLedger;
+}  // namespace appfl::obs
 
 namespace appfl::comm {
 
@@ -116,6 +121,34 @@ struct TrafficStats {
 
   bool operator==(const TrafficStats&) const = default;
 };
+
+/// Communication-plane state that survives a restart: the simulated clock,
+/// the cumulative traffic/fault ledger and the fault injector's link
+/// counters (see FaultInjector::PersistentState). The Communicator and the
+/// population engine both snapshot into it; round checkpoints carry it.
+struct CommState {
+  double sim_now = 0.0;
+  TrafficStats stats;
+  std::vector<std::uint64_t> link_keys;
+  std::vector<std::uint64_t> link_seqs;
+  /// Per-client kInt8Ef error-feedback residuals (index = client − 1;
+  /// empty when unused): the quantization error still to be corrected.
+  std::vector<std::vector<float>> ef_residuals;
+
+  bool operator==(const CommState&) const = default;
+};
+
+/// `base` with `net`'s counters folded in: its fault counts replace base's,
+/// its mailbox overflows add to base's restored pre-crash count.
+TrafficStats with_network_counters(TrafficStats base, const InProcNetwork& net);
+
+/// Snapshot of `net`'s fault links at sim time `sim_now`, with `stats` as
+/// the ledger (ef_residuals left empty).
+CommState capture_comm_state(double sim_now, TrafficStats stats,
+                             const InProcNetwork& net);
+
+/// The fault injector's part of `s`: its five counters and link sequences.
+FaultInjector::PersistentState fault_state(const CommState& s);
 
 /// Per-round simulated communication times.
 struct RoundCommRecord {
@@ -210,14 +243,14 @@ class Communicator {
   /// Gathers local updates for `round` (0 ⇒ one from every client),
   /// advances simulated time, and appends a RoundCommRecord. Duplicate,
   /// stale-round, and malformed messages are discarded and counted, never
-  /// fatal. Fault plane off: blocks until `expected` valid updates arrive
-  /// (pre-fault behavior) — but if a discard has consumed a datagram and
-  /// the mailbox runs dry short of `expected`, the missing update can never
-  /// be replaced, so the caller bug is diagnosed with an appfl::Error
-  /// instead of deadlocking. Fault plane on: drains against a sim-clock
-  /// deadline of reliability.gather_timeout_s and returns whatever made it
-  /// (possibly fewer than `expected`; a short return bumps gather_timeouts).
-  /// Updates are returned ordered by client id.
+  /// fatal. Fault plane off: callers send before they gather, so a mailbox
+  /// that runs dry short of `expected` is a caller bug, diagnosed with an
+  /// appfl::Error instead of a deadlock. Fault plane on: drains against a
+  /// sim-clock deadline of reliability.gather_timeout_s and returns
+  /// whatever made it (a short return bumps gather_timeouts), plus a final
+  /// drain of whatever else is deliverable by then, so late duplicates are
+  /// counted whatever order concurrent senders pushed them in. Updates are
+  /// returned ordered by client id.
   std::vector<Message> gather_locals(std::uint32_t round,
                                      std::size_t expected = 0);
 
@@ -233,9 +266,7 @@ class Communicator {
   /// gather_batch, but it does NOT append a RoundCommRecord — the round's
   /// comm record still comes from the masked-update gather; the wait time
   /// advances the simulated clock directly. Returns the packets ordered by
-  /// sender (primal carries the packed share bytes). Requires the fault
-  /// plane's deadline machinery or full delivery (fault-free path blocks
-  /// until `expected` arrive).
+  /// sender (primal carries the packed share bytes).
   std::vector<Message> gather_secagg_shares(std::uint32_t round,
                                             std::size_t expected = 0);
 
@@ -272,37 +303,16 @@ class Communicator {
   /// (inside the CRC frame), so a receiver never guesses the encoding.
   UplinkCodec negotiated_codec() const { return codec_.codec; }
 
-  /// Encode-buffer recycling counters (see comm/buffer_pool.hpp).
-  BufferPool::Stats pool_stats() const { return pool_.stats(); }
+  /// Per-client uplink fault attribution: send_update adds each retransmit
+  /// and each corrupted delivery to `ledger` (null = none). The ledger must
+  /// outlive the sends.
+  void attach_health(obs::HealthLedger* ledger) { health_ = ledger; }
 
-  /// Per-client uplink fault attribution (index = client − 1): retransmit
-  /// attempts beyond the first send and corrupted deliveries, as observed
-  /// by send_update. Feeds the per-client health ledger; all zeros when the
-  /// fault plane is off.
-  struct UplinkHealth {
-    std::uint64_t retransmits = 0;
-    std::uint64_t corrupt = 0;
-  };
-  std::vector<UplinkHealth> uplink_health() const;
-
-  /// Resumable snapshot of the comm plane: the simulated clock, the
-  /// composed traffic/fault ledger, and the fault injector's per-link
-  /// sequence counters. Restoring it on a fresh Communicator (same
-  /// protocol/seed/config) continues the simulated timeline and fault
-  /// schedule exactly where the snapshot left off.
-  struct PersistentState {
-    double sim_now = 0.0;
-    TrafficStats stats;
-    std::vector<std::uint64_t> link_keys;
-    std::vector<std::uint64_t> link_seqs;
-    /// Per-client kInt8Ef error-feedback residuals (index = client − 1,
-    /// empty vectors when unused). Losing these across a restart would
-    /// silently drop the quantization error they carry, so they ride in
-    /// every checkpoint.
-    std::vector<std::vector<float>> ef_residuals;
-  };
-  PersistentState persistent_state() const;
-  void restore_persistent_state(const PersistentState& s);
+  /// Resumable snapshot of the comm plane. Restoring it on a fresh
+  /// Communicator (same protocol/seed/config) continues the simulated
+  /// timeline and fault schedule exactly where the snapshot left off.
+  CommState persistent_state() const;
+  void restore_persistent_state(const CommState& s);
 
  private:
   /// Appends the encoded (and, fault plane on, CRC-framed) message to `out`
@@ -317,6 +327,19 @@ class Communicator {
   /// nullopt returned. The view borrows from `bytes`.
   std::optional<MessageView> decode_frame_view(
       std::span<const std::uint8_t> bytes);
+
+  /// The drain loop both gathers share: hands `expected` valid, first per
+  /// sender `kind` messages for `round` to `accept` (true = it kept the
+  /// bytes), discarding and counting the rest. Returns the sim seconds
+  /// waited past `start` (0 with the fault plane off).
+  double drain_gather(
+      MessageKind kind, std::uint32_t round, std::size_t expected,
+      double start,
+      const std::function<bool(Datagram&, const MessageView&)>& accept);
+
+  /// Counts one discard, crc failure or gather timeout in the ledger and
+  /// its registry mirror.
+  void bump(std::uint64_t TrafficStats::*counter);
 
   /// Packs m.primal into m.packed per the configured codec (send side).
   /// Non-const: kInt8Ef updates the sending client's error-feedback
@@ -343,7 +366,7 @@ class Communicator {
   GrpcCostModel grpc_model_;
   mutable std::mutex stats_mutex_;  // clients send concurrently
   TrafficStats stats_;
-  std::vector<UplinkHealth> uplink_health_;  // slot per client
+  obs::HealthLedger* health_ = nullptr;
   std::vector<RoundCommRecord> round_log_;
   SimClock clock_;
   double pending_broadcast_s_ = 0.0;

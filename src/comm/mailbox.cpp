@@ -90,9 +90,12 @@ FaultInjector::PersistentState FaultInjector::persistent_state() const {
   std::lock_guard<std::mutex> lock(mutex_);
   PersistentState s;
   s.stats = stats_;
-  s.link_keys.reserve(link_seq_.size());
-  s.link_seqs.reserve(link_seq_.size());
-  for (const auto& [key, seq] : link_seq_) {
+  // Ascending key order: the map's iteration order depends on which link
+  // concurrent senders touched first, and a snapshot must not.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> links(link_seq_.begin(),
+                                                             link_seq_.end());
+  std::sort(links.begin(), links.end());
+  for (const auto& [key, seq] : links) {
     s.link_keys.push_back(key);
     s.link_seqs.push_back(seq);
   }

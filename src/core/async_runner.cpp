@@ -6,9 +6,7 @@
 #include <sstream>
 
 #include "comm/message.hpp"
-#include "core/checkpoint.hpp"
-#include "core/obs_session.hpp"
-#include "core/runner.hpp"
+#include "core/round_session.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -102,7 +100,7 @@ AsyncRunResult run_async(const AsyncConfig& config,
   APPFL_CHECK_MSG(cfg.population == 0,
                   "population sampling is a run_population feature; the "
                   "async runner drives the split's clients directly");
-  ObsSession obs_session(cfg);
+  RoundSession session(cfg);
   APPFL_CHECK_MSG(config.mixing_alpha > 0.0F && config.mixing_alpha <= 1.0F,
                   "mixing alpha must be in (0, 1]");
   const std::size_t num_clients = split.clients.size();
@@ -177,7 +175,7 @@ AsyncRunResult run_async(const AsyncConfig& config,
       queue;
   std::size_t version = 0;
   std::size_t dispatch_counter = 0;
-  const bool track_health = obs_session.metrics_enabled();
+  const bool track_health = session.metrics_enabled();
   auto dispatch = [&](std::size_t p, double now) {
     obs::ScopedSpan span("async.dispatch", "async");
     span.set_arg("client", p + 1);
@@ -188,7 +186,7 @@ AsyncRunResult run_async(const AsyncConfig& config,
     // The dispatch's simulated duration (compute + both links) is the async
     // scheme's client latency — what the straggler score should rank by.
     if (track_health) {
-      obs_session.health().observe_latency(static_cast<std::uint32_t>(p + 1),
+      session.health().observe_latency(static_cast<std::uint32_t>(p + 1),
                                            dur);
     }
     queue.push({now + dur, static_cast<std::uint32_t>(p + 1), version});
@@ -198,11 +196,10 @@ AsyncRunResult run_async(const AsyncConfig& config,
   result.strategy = strategy->name();
   double staleness_sum = 0.0;
 
-  std::optional<CheckpointStore> store;
-  if (!cfg.checkpoint_dir.empty()) store.emplace(cfg.checkpoint_dir);
   if (!cfg.resume_from.empty()) {
     APPFL_SPAN("ckpt.restore", "ckpt");
-    const AsyncCheckpoint ac = resume_async_checkpoint(cfg.resume_from, store);
+    const AsyncCheckpoint ac =
+        resume_async_checkpoint(cfg.resume_from, session.store());
     APPFL_CHECK_MSG(
         ac.seed == cfg.seed && ac.num_clients == num_clients &&
             ac.param_count == w.size() && ac.total_updates == total_updates,
@@ -256,7 +253,7 @@ AsyncRunResult run_async(const AsyncConfig& config,
       ++result.dropped_updates;
       record_async_drop_metric();
       if (track_health) {
-        obs_session.health().add_dropped_frames(next.client, 1);
+        session.health().add_dropped_frames(next.client, 1);
       }
       obs::flight_record("async.drop",
                          "{\"client\":" + std::to_string(next.client) + "}");
@@ -293,8 +290,8 @@ AsyncRunResult run_async(const AsyncConfig& config,
     }
     result.sim_seconds = next.finish_time;
     result.events.push_back(event);
-    if (obs_session.streaming()) {
-      obs_session.write_line(
+    if (session.streaming()) {
+      session.write_line(
           async_event_json(result.applied_updates, event));
     }
 
@@ -302,11 +299,7 @@ AsyncRunResult run_async(const AsyncConfig& config,
       dispatch(p, next.finish_time);
     }
 
-    const bool halt_here = cfg.halt_after_round > 0 &&
-                           result.applied_updates == cfg.halt_after_round;
-    const std::size_t every = cfg.checkpoint_every_n_rounds;
-    if (store && (result.applied_updates % every == 0 ||
-                  result.applied_updates == total_updates || halt_here)) {
+    if (session.checkpoint_due(result.applied_updates, total_updates)) {
       APPFL_SPAN("ckpt.save", "ckpt");
       AsyncCheckpoint ac;
       ac.seed = cfg.seed;
@@ -334,10 +327,10 @@ AsyncRunResult run_async(const AsyncConfig& config,
       strategy->export_state(ac);
       ac.dropped_updates = result.dropped_updates;
       if (cfg.faults.drop > 0.0) ac.fault_rng = drop_rng.state();
-      save_async_checkpoint(*store, ac);
+      save_async_checkpoint(*session.store(), ac);
       ++result.checkpoints_written;
     }
-    if (halt_here) break;
+    if (session.halt_after(result.applied_updates)) break;
   }
 
   result.final_accuracy = server->validate(w);
@@ -346,7 +339,7 @@ AsyncRunResult run_async(const AsyncConfig& config,
       result.applied_updates > 0
           ? staleness_sum / static_cast<double>(result.applied_updates)
           : 0.0;
-  if (obs_session.streaming()) {
+  if (session.streaming()) {
     std::ostringstream os;
     os << "{\"type\":\"async_summary\",\"strategy\":\"" << result.strategy
        << "\",\"applied_updates\":" << result.applied_updates
@@ -357,9 +350,9 @@ AsyncRunResult run_async(const AsyncConfig& config,
        << ",\"mean_staleness\":" << obs::json_number(result.mean_staleness)
        << ",\"resumed_from_update\":" << result.resumed_from_update
        << ",\"checkpoints_written\":" << result.checkpoints_written << "}";
-    obs_session.write_line(os.str());
+    session.write_line(os.str());
   }
-  obs_session.finish();
+  session.finish();
   return result;
 }
 

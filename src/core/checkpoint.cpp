@@ -213,7 +213,7 @@ constexpr std::uint32_t kSOptW = 7;
 constexpr std::uint32_t kSOptM = 8;
 constexpr std::uint32_t kSOptV = 9;
 
-// CommStateCkpt fields.
+// comm::CommState fields.
 constexpr std::uint32_t kMSimNow = 1;
 constexpr std::uint32_t kMCounter = 2;  // repeated varint, fixed order below
 constexpr std::uint32_t kMLinkKey = 3;  // repeated varint
@@ -333,7 +333,7 @@ ServerStateCkpt decode_server(std::span<const std::uint8_t> bytes) {
   return s;
 }
 
-void encode_comm(comm::ProtoWriter& w, const CommStateCkpt& c) {
+void encode_comm(comm::ProtoWriter& w, const comm::CommState& c) {
   comm::ProtoWriter mw;
   mw.add_double(kMSimNow, c.sim_now);
   for (std::uint64_t v : pack_traffic(c.stats)) mw.add_varint(kMCounter, v);
@@ -347,8 +347,8 @@ void encode_comm(comm::ProtoWriter& w, const CommStateCkpt& c) {
   w.add_bytes(kTComm, mw.view());
 }
 
-CommStateCkpt decode_comm(std::span<const std::uint8_t> bytes) {
-  CommStateCkpt c;
+comm::CommState decode_comm(std::span<const std::uint8_t> bytes) {
+  comm::CommState c;
   std::vector<std::uint64_t> counters;
   std::optional<std::uint64_t> pending_residual;  // id awaiting its values
   comm::ProtoReader r(bytes);
@@ -823,20 +823,27 @@ void save_round_checkpoint(CheckpointStore& store, const RoundCheckpoint& ckpt) 
 namespace {
 
 /// Newest slot that decodes as Ckpt; slots that do not are quarantined.
+/// Each slot is decoded once: the validator keeps its decode, keyed by the
+/// payload buffer, and the winner's is returned.
 template <class Ckpt>
 std::optional<Ckpt> load_latest_decoded(
     CheckpointStore& store, Ckpt (*decode)(std::span<const std::uint8_t>)) {
+  std::vector<std::pair<const std::uint8_t*, Ckpt>> decoded;
   const auto loaded =
-      store.load_latest([decode](std::span<const std::uint8_t> p) {
+      store.load_latest([&](std::span<const std::uint8_t> p) {
         try {
-          (void)decode(p);
+          decoded.emplace_back(p.data(), decode(p));
           return true;
         } catch (const appfl::Error&) {
           return false;
         }
       });
   if (!loaded.has_value()) return std::nullopt;
-  return decode(loaded->payload);
+  for (auto& [payload, ckpt] : decoded) {
+    if (payload == loaded->payload.data()) return std::move(ckpt);
+  }
+  APPFL_CHECK_MSG(false, "loaded checkpoint slot was never validated");
+  return std::nullopt;
 }
 
 template <class Ckpt>

@@ -100,24 +100,6 @@ struct ServerStateCkpt {
   bool operator==(const ServerStateCkpt&) const = default;
 };
 
-/// Communication-plane state that survives a restart: the simulated clock,
-/// the cumulative traffic/fault ledger, and the fault injector's per-link
-/// sequence counters (the schedule is a pure function of seed + counters,
-/// so restoring them continues the fault schedule with no replayed or
-/// skipped events).
-struct CommStateCkpt {
-  double sim_now = 0.0;
-  comm::TrafficStats stats;
-  std::vector<std::uint64_t> link_keys;
-  std::vector<std::uint64_t> link_seqs;
-  /// Per-client int8 error-feedback residuals (index = client − 1; empty
-  /// vectors when the codec is off). Encoded as (id, values) pairs so
-  /// pre-int8 decoders skip them as unknown fields — format_version stays 2.
-  std::vector<std::vector<float>> ef_residuals;
-
-  bool operator==(const CommStateCkpt&) const = default;
-};
-
 /// A full resumable snapshot at a synchronous round boundary.
 struct RoundCheckpoint {
   std::uint32_t format_version = 2;
@@ -131,7 +113,9 @@ struct RoundCheckpoint {
   ServerStateCkpt server;
   std::vector<ClientStateCkpt> clients;
   std::array<std::uint64_t, 4> sampler_state{};  // client-sampling stream
-  CommStateCkpt comm;
+  /// Comm-plane state. Residuals are encoded as (id, values) pairs so
+  /// pre-int8 decoders skip them as unknown fields — format_version stays 2.
+  comm::CommState comm;
 
   // Population-engine extension (core/event_engine). All encoded as optional
   // tags that pre-population decoders skip as unknown fields, so
@@ -233,7 +217,9 @@ class CheckpointStore {
   void save(std::span<const std::uint8_t> payload, std::uint64_t sequence);
 
   /// Newest valid slot's payload, or nullopt when no slot is loadable.
-  /// Invalid slots are quarantined and counted in report().
+  /// Invalid slots are quarantined and counted in report(). The validator
+  /// sees each slot's payload in the very buffer Loaded::payload then owns,
+  /// so a caller can match what it validated to what was loaded.
   std::optional<Loaded> load_latest(const Validator& valid = nullptr);
 
   const Report& report() const { return report_; }

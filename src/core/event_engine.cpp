@@ -5,7 +5,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <queue>
@@ -19,14 +18,10 @@
 #include "comm/message.hpp"
 #include "comm/sim_clock.hpp"
 #include "core/aggregate.hpp"
-#include "core/checkpoint.hpp"
 #include "core/evaluation.hpp"
-#include "core/obs_session.hpp"
+#include "core/round_session.hpp"
 #include "core/sampling.hpp"
-#include "dp/secure_agg.hpp"
 #include "hw/device.hpp"
-#include "obs/flight.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "rng/rng.hpp"
 #include "tensor/gemm.hpp"
@@ -136,15 +131,15 @@ PopulationRunResult run_population(const RunConfig& config,
   comm::SimClock clock;
   util::ThreadPool pool;
   rng::Rng sampler(rng::derive_seed(config.seed, {kSamplerStream}));
-  ObsSession obs_session(config);
-  const bool track_health = obs_session.metrics_enabled();
+  RoundSession session(
+      config, {n, param_count, n, static_cast<std::uint32_t>(k)});
+  const bool track_health = session.metrics_enabled();
   const comm::MpiCostModel mpi;
   const comm::GrpcCostModel grpc;
   const hw::DeviceProfile device = hw::v100();
   const bool is_grpc = config.protocol == comm::Protocol::kGrpc;
 
   PopulationRunResult out;
-  out.run.model_parameters = param_count;
   out.engine.tree_depth = tree.depth();
   out.engine.tree_leaf_groups = num_groups;
 
@@ -153,15 +148,7 @@ PopulationRunResult run_population(const RunConfig& config,
   // current_stats() composes them exactly like Communicator::stats().
   comm::TrafficStats stats;
   const auto current_stats = [&] {
-    comm::TrafficStats s = stats;
-    const comm::FaultStats f = net.fault_stats();
-    s.drops = f.drops;
-    s.duplicates = f.duplicates;
-    s.reorders = f.reorders;
-    s.corruptions = f.corruptions;
-    s.delays = f.delays;
-    s.mailbox_overflows += net.mailbox_overflows();
-    return s;
+    return comm::with_network_counters(stats, net);
   };
 
   // Sparse DP ledger: id → rounds this client released an update. ε_p =
@@ -171,26 +158,7 @@ PopulationRunResult run_population(const RunConfig& config,
   const double round_epsilon =
       std::isfinite(config.epsilon) ? config.epsilon : 0.0;
 
-  std::optional<CheckpointStore> store;
-  if (!config.checkpoint_dir.empty()) store.emplace(config.checkpoint_dir);
-
-  std::uint32_t start_round = 1;
-  if (!config.resume_from.empty()) {
-    APPFL_SPAN("ckpt.restore", "ckpt");
-    const RoundCheckpoint rc =
-        resume_round_checkpoint(config.resume_from, store);
-    APPFL_CHECK_MSG(
-        rc.seed == config.seed && rc.num_clients == n &&
-            rc.param_count == param_count &&
-            rc.total_rounds == config.rounds && rc.population == n &&
-            rc.participants_per_round == k,
-        "checkpoint fingerprint mismatch: checkpoint is (seed="
-            << rc.seed << ", population=" << rc.population
-            << ", participants=" << rc.participants_per_round << ", params="
-            << rc.param_count << ", rounds=" << rc.total_rounds
-            << "), this run is (seed=" << config.seed << ", population=" << n
-            << ", participants=" << k << ", params=" << param_count
-            << ", rounds=" << config.rounds << ")");
+  const std::uint32_t start_round = session.resume([&](const RoundCheckpoint& rc) {
     APPFL_CHECK_MSG(rc.server.kind == "population",
                     "checkpoint was written by a '" << rc.server.kind
                         << "' server, not the population engine");
@@ -202,41 +170,23 @@ PopulationRunResult run_population(const RunConfig& config,
     for (const auto& [id, count] : rc.participation) participation[id] = count;
     clock.sync_to(rc.comm.sim_now);
     stats = rc.comm.stats;
-    comm::FaultInjector::PersistentState fs;
-    fs.stats.drops = stats.drops;
-    fs.stats.duplicates = stats.duplicates;
-    fs.stats.reorders = stats.reorders;
-    fs.stats.corruptions = stats.corruptions;
-    fs.stats.delays = stats.delays;
-    fs.link_keys = rc.comm.link_keys;
-    fs.link_seqs = rc.comm.link_seqs;
-    net.restore_fault_state(fs);
-    start_round = rc.rounds_completed + 1;
-    out.run.resumed_from_round = rc.rounds_completed;
-  }
+    net.restore_fault_state(comm::fault_state(rc.comm));
+  });
 
-  // Secure aggregation (dp/secure_agg.hpp): the share fan-out rides the same
+  // Secure aggregation (SecAggRound): the share fan-out rides the same
   // fault-injected network as the updates — slot endpoint → root (endpoint
   // 0), a link distinct from the slot → leaf-leader uplink — and the masked
   // uploads then flow through the ordinary tree pipeline. The root reduce
   // becomes an integer sum + unmask instead of weighted_sum_stream.
-  const bool secure = config.secure_agg;
-  const std::size_t secagg_threshold =
-      secure ? (config.secure_agg_threshold != 0 ? config.secure_agg_threshold
-                                                 : k / 2 + 1)
-             : 0;
-  const std::size_t expected_primal = secure ? 2 * param_count : param_count;
+  const std::size_t expected_primal =
+      config.secure_agg ? 2 * param_count : param_count;
 
   const auto wall_start = std::chrono::steady_clock::now();
   std::uint64_t events_processed = 0;
 
   for (std::uint32_t round = start_round; round <= config.rounds; ++round) {
-    obs::ScopedSpan round_span("fl.round", "fl");
-    round_span.set_arg("round", round);
-    obs::flight_record("round.start",
-                       "{\"round\":" + std::to_string(round) + "}");
     const double sim_round_start = clock.now();
-    const comm::TrafficStats before = current_stats();
+    RoundSession::Round r(session, round, sim_round_start, current_stats());
 
     const std::vector<std::uint32_t> participants =
         sample_k_of_n(sampler, n, k);
@@ -283,7 +233,10 @@ PopulationRunResult run_population(const RunConfig& config,
     // Per-round slot-indexed state. Heavy handlers write only their own
     // slot/group entry, so results are independent of pool thread count.
     std::vector<SlotOutcome> slots(k);
-    std::vector<std::vector<std::uint8_t>> update_frames(k);  // validated
+    // Validated update frames and their headers, whose payload views point
+    // into the frames (moving a vector keeps its buffer in place).
+    std::vector<std::vector<std::uint8_t>> update_frames(k);
+    std::vector<comm::GatherUpdate> updates(k);
     std::vector<std::uint32_t> group_arrived(num_groups, 0);
     std::vector<double> group_latest(num_groups, 0.0);
     std::vector<std::uint64_t> group_crc(num_groups, 0);
@@ -294,29 +247,90 @@ PopulationRunResult run_population(const RunConfig& config,
     bool groups_scheduled = false;
     double root_ready = 0.0;
     double round_end = bcast_done;
-    std::size_t responders = 0;
-    double round_loss = 0.0;
     double gather_s = 0.0;
 
     // Secure-aggregation round state. Slot-indexed so parallel handlers
-    // never share an entry; the sec server and U2 live on the orchestration
-    // thread only.
-    const std::uint64_t round_seed =
-        secure ? rng::derive_seed(config.seed, {rng::stream::kSecureAgg, round})
-               : 0;
-    std::optional<dp::SecureAggServer> sec_server;
-    if (secure) sec_server.emplace(participants, round_seed, secagg_threshold);
-    std::vector<std::unique_ptr<dp::SecureAggClient>> sec_clients(
-        secure ? k : 0);
-    std::vector<comm::Message> pending_updates(secure ? k : 0);
-    std::vector<SlotOutcome> share_slots(secure ? k : 0);
+    // never share an entry; U2 is decided on the orchestration thread.
+    std::optional<SecAggRound> sec;
+    if (config.secure_agg) sec.emplace(config, round, participants);
     std::size_t shares_outstanding = 0;
     double share_latest = bcast_done;
-    bool masked_phase_done = !secure;  // plain mode: no share phase to wait on
+    bool masked_phase_done = !sec;  // plain mode: no share phase to wait on
     bool root_reduced = false;
-    bool round_degraded = false;
-    SecaggDegradeReason degrade_reason = SecaggDegradeReason::kNone;
-    std::uint64_t round_reconstructions = 0;
+
+    // Encodes, adds gRPC transfer time (per-round, per-slot jitter stream),
+    // seals (faults on) and sends `m` from `slot` to endpoint `to`, noting
+    // the outcome in slots[slot]. Returns whether it arrives intact: a
+    // corrupted frame is CRC-discarded, so to the sender it is a drop.
+    const auto send_from_slot = [&](const comm::Message& m, std::size_t slot,
+                                    std::uint32_t to, double t_send,
+                                    std::uint64_t jitter_stream) {
+      std::vector<std::uint8_t> bytes =
+          is_grpc ? comm::encode_proto(m) : comm::encode_raw(m);
+      double t_up = t_send;
+      if (is_grpc) {
+        rng::Rng jitter(
+            rng::derive_seed(config.seed, {jitter_stream, round, slot}));
+        t_up += grpc.transfer_seconds(bytes.size() + env_overhead, jitter);
+      }
+      if (faults_on) bytes = comm::seal_envelope(std::move(bytes));
+      SlotOutcome& so = slots[slot];
+      so.up_bytes = bytes.size();
+      const comm::InProcNetwork::SendOutcome outcome = net.send(
+          static_cast<std::uint32_t>(1 + slot), to, std::move(bytes), t_up);
+      so.delivered = outcome.delivered;
+      so.deliver_at = outcome.deliver_at;
+      const bool acked = outcome.delivered && !outcome.corrupted;
+      if (track_health && !acked) {
+        session.health().add_dropped_frames(participants[slot], 1);
+      }
+      return acked;
+    };
+
+    // The open/decode/validate step both drains share: CRC frame (faults
+    // on), sender slot in [lo, hi), and this round's `kind` from that slot's
+    // participant. Failures are counted in `crc` or `discards`.
+    const auto open_from_slot =
+        [&](const comm::Datagram& d, comm::MessageKind kind, std::size_t lo,
+            std::size_t hi, std::uint64_t& crc,
+            std::uint64_t& discards) -> std::optional<comm::MessageView> {
+      std::span<const std::uint8_t> body(d.bytes);
+      if (faults_on) {
+        const auto opened = comm::open_envelope(body);
+        if (!opened) {
+          ++crc;
+          return std::nullopt;
+        }
+        body = *opened;
+      }
+      if (d.from >= 1 + lo && d.from < 1 + hi) {
+        try {
+          const comm::MessageView v = is_grpc ? comm::decode_proto_view(body)
+                                              : comm::decode_raw_view(body);
+          if (v.kind == kind && v.round == round &&
+              v.sender == participants[d.from - 1]) {
+            return v;
+          }
+        } catch (const Error&) {
+        }
+      }
+      ++discards;
+      return std::nullopt;
+    };
+
+    // Accounts one slot's uplink (codec is always off, so pre-codec bytes
+    // are the wire bytes) and schedules its arrival if it was delivered.
+    const auto fold_uplink = [&](std::size_t slot, EventKind arrival) {
+      const SlotOutcome& so = slots[slot];
+      stats.messages_up += 1;
+      stats.bytes_up += so.up_bytes;
+      stats.bytes_up_precodec += so.up_bytes;
+      if (!so.delivered) return;
+      queue.push({so.deliver_at, seq++, arrival,
+                  static_cast<std::uint32_t>(slot)});
+      arrival == EventKind::kUplink ? ++uplinks_outstanding
+                                    : ++shares_outstanding;
+    };
 
     // Group readiness can only be decided once every training executed and
     // every surviving uplink's arrival has been observed — a late gRPC
@@ -348,121 +362,41 @@ PopulationRunResult run_population(const RunConfig& config,
       obs::ScopedSpan span("fl.secagg_share_gather", "fl");
       std::size_t shares_sent = 0;
       for (std::size_t slot = 0; slot < k; ++slot) {
-        if (sec_clients[slot]) ++shares_sent;
+        if (sec->shared(slot)) ++shares_sent;
       }
-      std::size_t deposited = 0;
       while (std::optional<comm::Datagram> d = net.try_recv(0)) {
-        std::span<const std::uint8_t> body(d->bytes);
-        if (faults_on) {
-          const auto opened = comm::open_envelope(body);
-          if (!opened) {
-            ++stats.crc_failures;
-            continue;
-          }
-          body = *opened;
-        }
-        if (d->from < 1 || d->from > k) {
-          ++stats.discards;
-          continue;
-        }
-        const std::size_t slot = d->from - 1;
-        try {
-          const comm::MessageView v = is_grpc ? comm::decode_proto_view(body)
-                                              : comm::decode_raw_view(body);
-          if (v.kind != comm::MessageKind::kSecAggShares || v.round != round ||
-              v.sender != participants[slot]) {
-            ++stats.discards;
-            continue;
-          }
-          if (sec_server->deposit_share_packet(
-                  v.sender, dp::unpack_bytes_from_floats(v.primal.to_vector()))) {
-            ++deposited;
-          } else {
-            ++stats.discards;  // duplicate delivery or tampered packet
-          }
-        } catch (const Error&) {
-          ++stats.discards;
+        const std::optional<comm::MessageView> v =
+            open_from_slot(*d, comm::MessageKind::kSecAggShares, 0, k,
+                           stats.crc_failures, stats.discards);
+        if (v && !sec->deposit(v->sender, v->primal.to_vector())) {
+          ++stats.discards;  // duplicate delivery or tampered packet
         }
       }
-      const std::vector<std::uint32_t> u2 = sec_server->share_survivors();
-      span.set_arg("u2", u2.size());
+      const bool recoverable =
+          sec->close_shares(track_health ? &session.health() : nullptr);
+      span.set_arg("u2", sec->u2().size());
       // A complete share phase ends with the last arrival; a lossy one runs
       // into the server's gather deadline before U2 is frozen.
       const double u2_time =
-          deposited == shares_sent
+          sec->u2().size() == shares_sent
               ? share_latest
               : std::max(share_latest, bcast_done + config.gather_timeout_s);
       round_end = std::max(round_end, u2_time);
-      if (u2.size() < secagg_threshold) {
+      if (!recoverable) {
         // Too few share packets survived: nobody uploads this round.
-        round_degraded = true;
-        degrade_reason = SecaggDegradeReason::kShareWaveTimeout;
+        sec->degrade(SecaggDegradeReason::kShareWaveTimeout);
         maybe_schedule_groups();
         return;
       }
-      std::vector<char> slot_in_u2(k, 0);
-      for (std::uint32_t id : u2) {
-        const auto it =
-            std::lower_bound(participants.begin(), participants.end(), id);
-        slot_in_u2[static_cast<std::size_t>(it - participants.begin())] = 1;
-      }
-      if (track_health) {
-        // Trained slots outside U2: their share packet was lost, and their
-        // update is discarded with it.
-        for (std::size_t slot = 0; slot < k; ++slot) {
-          if (sec_clients[slot] && !slot_in_u2[slot]) {
-            obs_session.health().add_share_discards(participants[slot], 1);
-          }
-        }
-      }
+      // U2 members all shared, so every one of them trained.
       pool.parallel_for(k, [&](std::size_t slot) {
-        if (!slot_in_u2[slot] || !sec_clients[slot]) return;
-        const comm::Message& update = pending_updates[slot];
-        const double weight =
-            config.weighted_aggregation
-                ? static_cast<double>(update.sample_count)
-                : 1.0;
-        comm::Message masked;
-        masked.kind = comm::MessageKind::kLocalUpdate;
-        masked.sender = update.sender;
-        masked.receiver = 0;
-        masked.round = round;
-        masked.sample_count = update.sample_count;
-        masked.loss = update.loss;
-        masked.primal = dp::pack_words_as_floats(sec_clients[slot]->mask(
-            update.primal, u2, dp::kDefaultScale, weight));
-        std::vector<std::uint8_t> bytes =
-            is_grpc ? comm::encode_proto(masked) : comm::encode_raw(masked);
-        double t_up = u2_time;
-        if (is_grpc) {
-          rng::Rng jitter(
-              rng::derive_seed(config.seed, {kUpJitterStream, round, slot}));
-          t_up += grpc.transfer_seconds(bytes.size() + env_overhead, jitter);
-        }
-        if (faults_on) bytes = comm::seal_envelope(std::move(bytes));
-        SlotOutcome& so = slots[slot];
-        so.up_bytes = bytes.size();
-        const comm::InProcNetwork::SendOutcome outcome =
-            net.send(static_cast<std::uint32_t>(1 + slot),
-                     leader_endpoint(tree.group_of(slot)), std::move(bytes),
-                     t_up);
-        so.delivered = outcome.delivered;
-        so.deliver_at = outcome.deliver_at;
-        if (track_health && !outcome.delivered) {
-          obs_session.health().add_dropped_frames(masked.sender, 1);
-        }
+        if (!sec->in_u2(slot)) return;
+        send_from_slot(sec->masked_upload(slot), slot,
+                       leader_endpoint(tree.group_of(slot)), u2_time,
+                       kUpJitterStream);
       });
       for (std::size_t slot = 0; slot < k; ++slot) {
-        if (!slot_in_u2[slot] || !sec_clients[slot]) continue;
-        const SlotOutcome& so = slots[slot];
-        stats.messages_up += 1;
-        stats.bytes_up += so.up_bytes;
-        stats.bytes_up_precodec += so.up_bytes;
-        if (so.delivered) {
-          queue.push({so.deliver_at, seq++, EventKind::kUplink,
-                      static_cast<std::uint32_t>(slot)});
-          ++uplinks_outstanding;
-        }
+        if (sec->in_u2(slot)) fold_uplink(slot, EventKind::kUplink);
       }
       maybe_schedule_groups();
     };
@@ -507,86 +441,25 @@ PopulationRunResult run_population(const RunConfig& config,
                 static_cast<double>(config.local_steps));
             // The engine's client latency is its simulated training cost —
             // the quantity the straggler score should rank slots by.
-            if (track_health) obs_session.health().observe_latency(id, train_s);
+            if (track_health) session.health().observe_latency(id, train_s);
             const double t_send = wave[wi].t + train_s;
-            if (secure) {
-              // Hold the update; ship the Shamir share packet to the root
-              // first. Losing it on this link keeps the slot out of U2.
-              sec_clients[slot] = std::make_unique<dp::SecureAggClient>(
-                  id, participants, round_seed, secagg_threshold);
-              pending_updates[slot] = std::move(update);
-              comm::Message shares;
-              shares.kind = comm::MessageKind::kSecAggShares;
-              shares.sender = id;
-              shares.receiver = 0;
-              shares.round = round;
-              shares.primal = dp::pack_bytes_as_floats(
-                  sec_clients[slot]->share_packet());
-              std::vector<std::uint8_t> bytes = is_grpc
-                                                    ? comm::encode_proto(shares)
-                                                    : comm::encode_raw(shares);
-              double t_up = t_send;
-              if (is_grpc) {
-                rng::Rng jitter(rng::derive_seed(
-                    config.seed, {kShareJitterStream, round, slot}));
-                t_up = t_send + grpc.transfer_seconds(
-                                    bytes.size() + env_overhead, jitter);
-              }
-              if (faults_on) bytes = comm::seal_envelope(std::move(bytes));
-              SlotOutcome& so = share_slots[slot];
-              so.up_bytes = bytes.size();
-              const comm::InProcNetwork::SendOutcome outcome = net.send(
-                  static_cast<std::uint32_t>(1 + slot), 0, std::move(bytes),
-                  t_up);
-              so.delivered = outcome.delivered;
-              so.deliver_at = outcome.deliver_at;
-              if (track_health && !(outcome.delivered && !outcome.corrupted)) {
-                obs_session.health().add_dropped_frames(id, 1);
-              }
-              client->on_uplink_result(outcome.delivered &&
-                                       !outcome.corrupted);
-              return;
-            }
-            double t_up = t_send;
-            std::vector<std::uint8_t> bytes =
-                is_grpc ? comm::encode_proto(update) : comm::encode_raw(update);
-            if (is_grpc) {
-              rng::Rng jitter(rng::derive_seed(
-                  config.seed, {kUpJitterStream, round, slot}));
-              t_up = t_send +
-                     grpc.transfer_seconds(bytes.size() + env_overhead, jitter);
-            }
-            if (faults_on) bytes = comm::seal_envelope(std::move(bytes));
-            SlotOutcome& so = slots[slot];
-            so.up_bytes = bytes.size();
-            const comm::InProcNetwork::SendOutcome outcome =
-                net.send(static_cast<std::uint32_t>(1 + slot),
-                         leader_endpoint(tree.group_of(slot)),
-                         std::move(bytes), t_up);
-            so.delivered = outcome.delivered;
-            so.deliver_at = outcome.deliver_at;
-            if (track_health && !(outcome.delivered && !outcome.corrupted)) {
-              obs_session.health().add_dropped_frames(id, 1);
-            }
-            client->on_uplink_result(outcome.delivered && !outcome.corrupted);
+            // Secure mode holds the update and ships the Shamir share
+            // packet to the root first; losing it keeps the slot out of U2.
+            client->on_uplink_result(
+                sec ? send_from_slot(sec->share(slot, std::move(update)), slot,
+                                     0, t_send, kShareJitterStream)
+                    : send_from_slot(update, slot,
+                                     leader_endpoint(tree.group_of(slot)),
+                                     t_send, kUpJitterStream));
           });
           // Fold on the orchestration thread, in wave (event) order.
           for (const Event& e : wave) {
-            const SlotOutcome& so =
-                secure ? share_slots[e.arg] : slots[e.arg];
             --slots_outstanding;
-            stats.messages_up += 1;
-            stats.bytes_up += so.up_bytes;
-            stats.bytes_up_precodec += so.up_bytes;  // codec is always off
-            ++participation[participants[e.arg]];    // trained ⇒ ε spent
-            if (so.delivered) {
-              queue.push({so.deliver_at, seq++,
-                          secure ? EventKind::kShareArrive : EventKind::kUplink,
-                          e.arg});
-              secure ? ++shares_outstanding : ++uplinks_outstanding;
-            }
+            ++participation[participants[e.arg]];  // trained ⇒ ε spent
+            fold_uplink(e.arg,
+                        sec ? EventKind::kShareArrive : EventKind::kUplink);
           }
-          if (secure) maybe_start_masked_phase();
+          if (sec) maybe_start_masked_phase();
           maybe_schedule_groups();
           break;
         }
@@ -595,7 +468,6 @@ PopulationRunResult run_population(const RunConfig& config,
           for (const Event& e : wave) {
             share_latest = std::max(share_latest, e.t);
             --shares_outstanding;
-            (void)e;
           }
           maybe_start_masked_phase();
           break;
@@ -624,39 +496,22 @@ PopulationRunResult run_population(const RunConfig& config,
             const auto [lo, hi] = tree.leaf_group(g);
             while (std::optional<comm::Datagram> d =
                        net.try_recv(leader_endpoint(g))) {
-              std::span<const std::uint8_t> body(d->bytes);
-              if (faults_on) {
-                const auto opened = comm::open_envelope(body);
-                if (!opened) {
-                  ++group_crc[g];
-                  continue;
-                }
-                body = *opened;
+              const std::optional<comm::MessageView> v =
+                  open_from_slot(*d, comm::MessageKind::kLocalUpdate, lo, hi,
+                                 group_crc[g], group_discards[g]);
+              if (!v) continue;
+              if (!update_frames[d->from - 1].empty() ||
+                  v->primal.size() != expected_primal) {
+                ++group_discards[g];  // duplicate delivery or malformed
+              } else {
+                comm::GatherUpdate& u = updates[d->from - 1];
+                u.sender = v->sender;
+                u.sample_count = v->sample_count;
+                u.loss = v->loss;
+                u.primal = comm::WirePayload::f32_bytes(v->primal.bytes(),
+                                                        v->primal.size());
+                update_frames[d->from - 1] = std::move(d->bytes);
               }
-              if (d->from < 1 + lo || d->from >= 1 + hi) {
-                ++group_discards[g];
-                continue;
-              }
-              const std::size_t slot = d->from - 1;
-              if (!update_frames[slot].empty()) {  // duplicate delivery
-                ++group_discards[g];
-                continue;
-              }
-              try {
-                const comm::MessageView v = is_grpc
-                                                ? comm::decode_proto_view(body)
-                                                : comm::decode_raw_view(body);
-                if (v.kind != comm::MessageKind::kLocalUpdate ||
-                    v.round != round || v.sender != participants[slot] ||
-                    v.primal.size() != expected_primal) {
-                  ++group_discards[g];
-                  continue;
-                }
-              } catch (const Error&) {
-                ++group_discards[g];
-                continue;
-              }
-              update_frames[slot] = std::move(d->bytes);
             }
           });
           for (const Event& e : wave) {
@@ -672,76 +527,36 @@ PopulationRunResult run_population(const RunConfig& config,
         case EventKind::kRootReduce: {
           // The numeric reduce: slot-ordered terms, one weighted_sum_stream
           // — the tree contributed routing and cost, never float order.
-          std::vector<comm::MessageView> views;
-          std::vector<std::size_t> resp_slots;
-          views.reserve(k);
-          resp_slots.reserve(k);
+          std::vector<comm::GatherUpdate> uploads;
+          uploads.reserve(k);
           std::size_t max_up_bytes = 0;
           for (std::size_t slot = 0; slot < k; ++slot) {
             if (update_frames[slot].empty()) continue;
-            std::span<const std::uint8_t> body(update_frames[slot]);
-            if (faults_on) body = *comm::open_envelope(body);
-            views.push_back(is_grpc ? comm::decode_proto_view(body)
-                                    : comm::decode_raw_view(body));
-            resp_slots.push_back(slot);
+            uploads.push_back(updates[slot]);
             max_up_bytes = std::max(max_up_bytes, slots[slot].up_bytes);
           }
-          responders = views.size();
-          double total_samples = 0.0;
-          double loss_acc = 0.0;
-          std::uint64_t samples = 0;
-          for (const comm::MessageView& v : views) {
-            total_samples += static_cast<double>(v.sample_count);
-            loss_acc += v.loss * static_cast<double>(v.sample_count);
-            samples += v.sample_count;
-          }
-          round_loss =
-              samples > 0 ? loss_acc / static_cast<double>(samples) : 0.0;
+          // Integer sample counts sum exactly in a double.
+          const double total_samples =
+              static_cast<double>(r.record_uploads(uploads));
           root_reduced = true;
-          if (secure) {
+          if (sec) {
             // Integer reduce + unmask: U3 is the responder set, in slot
-            // (ascending sender) order. The aggregation weights were folded
-            // into the quantization scale client-side, so one division by
-            // scale · Σweights recovers the weighted survivor mean exactly.
+            // (ascending sender) order.
             APPFL_SPAN("fl.secagg_unmask", "fl");
-            std::vector<std::uint32_t> u3;
-            std::vector<std::vector<std::uint64_t>> uploads;
-            u3.reserve(views.size());
-            uploads.reserve(views.size());
-            double total_weight = 0.0;
-            for (const comm::MessageView& v : views) {
-              u3.push_back(v.sender);
-              std::vector<std::uint64_t> words(v.primal.size() / 2);
-              std::memcpy(words.data(), v.primal.bytes(),
-                          v.primal.size() * 4);
-              uploads.push_back(std::move(words));
-              total_weight += config.weighted_aggregation
-                                  ? static_cast<double>(v.sample_count)
-                                  : 1.0;
+            if (std::optional<std::vector<float>> mean = sec->unmask(uploads)) {
+              w = std::move(*mean);
             }
-            const dp::SecureAggServer::Recovery recovery =
-                sec_server->unmask(u3, uploads);
-            if (recovery.ok) {
-              round_reconstructions = recovery.pair_keys_reconstructed;
-              w = dp::dequantize_sum(recovery.sum,
-                                     dp::kDefaultScale * total_weight);
-            } else {
-              round_degraded = true;  // |U3| < t: model unchanged
-              degrade_reason = SecaggDegradeReason::kBelowThreshold;
-            }
-          } else if (!views.empty()) {
+          } else if (!uploads.empty()) {
             std::vector<StreamTerm> terms;
-            terms.reserve(views.size());
-            for (const comm::MessageView& v : views) {
+            terms.reserve(uploads.size());
+            for (const comm::GatherUpdate& u : uploads) {
               const float weight =
                   config.weighted_aggregation && total_samples > 0.0
                       ? static_cast<float>(
-                            static_cast<double>(v.sample_count) /
+                            static_cast<double>(u.sample_count) /
                             total_samples)
-                      : 1.0F / static_cast<float>(views.size());
-              terms.push_back({comm::WirePayload::f32_bytes(v.primal.bytes(),
-                                                            v.primal.size()),
-                               weight});
+                      : 1.0F / static_cast<float>(uploads.size());
+              terms.push_back({u.primal, weight});
             }
             APPFL_SPAN("fl.aggregate", "fl");
             weighted_sum_stream(terms, std::span<float>(w));
@@ -769,61 +584,34 @@ PopulationRunResult run_population(const RunConfig& config,
       stats.crc_failures += group_crc[g];
       stats.discards += group_discards[g];
     }
-    // Secure mode with every masked upload lost: the root reduce never
-    // fired, so the below-threshold outcome is decided here.
-    if (secure && !root_reduced && !round_degraded) {
-      round_degraded = true;
-      degrade_reason = SecaggDegradeReason::kRootUnreachable;
-    }
-    if (secure && obs::metrics_on()) {
-      static obs::Counter& reconstructions =
-          obs::MetricsRegistry::global().counter("secure_agg.reconstructions");
-      static obs::Counter& degraded =
-          obs::MetricsRegistry::global().counter("secure_agg.rounds_degraded");
-      reconstructions.add(round_reconstructions);
-      if (round_degraded) degraded.add(1);
-    }
-    if (round_degraded) {
-      obs::flight_record("secagg.degraded",
-                         "{\"round\":" + std::to_string(round) +
-                             ",\"reason\":\"" + to_string(degrade_reason) +
-                             "\"}");
-      obs::FlightRecorder::global().dump("secagg-degraded-" +
-                                         to_string(degrade_reason));
+    if (sec) {
+      // Every masked upload lost: the root reduce never fired, so the
+      // below-threshold outcome is decided here.
+      if (!root_reduced && !sec->degraded()) {
+        sec->degrade(SecaggDegradeReason::kRootUnreachable);
+      }
+      sec->report(r.metrics);
     }
     if (track_health) {
       for (std::size_t slot = 0; slot < k; ++slot) {
         const std::uint32_t id = participants[slot];
         // A slot whose update never reached the root went missing this
         // round, whatever the hop that lost it.
-        if (update_frames[slot].empty()) obs_session.health().note_dropout(id);
+        if (update_frames[slot].empty()) session.health().note_dropout(id);
         const auto it = participation.find(id);
         if (it != participation.end()) {
-          obs_session.health().set_dp_epsilon(
+          session.health().set_dp_epsilon(
               id, static_cast<double>(it->second) * round_epsilon);
         }
       }
     }
     clock.sync_to(round_end);
-    const comm::TrafficStats after = current_stats();
-    round_span.set_sim(sim_round_start, clock.now() - sim_round_start);
 
-    RoundMetrics metrics;
-    metrics.round = round;
+    RoundMetrics& metrics = r.metrics;
     metrics.rho = config.rho;
     metrics.participants = k;
-    metrics.responders = responders;
-    metrics.train_loss = round_loss;
     metrics.broadcast_s = bcast_done - sim_round_start;
     metrics.gather_s = gather_s;
-    metrics.drops = after.drops - before.drops;
-    metrics.crc_failures = after.crc_failures - before.crc_failures;
-    metrics.discards = after.discards - before.discards;
-    metrics.secagg_reconstructions = round_reconstructions;
-    metrics.secagg_degraded = round_degraded;
-    metrics.secagg_degrade_reason = degrade_reason;
-    out.run.secagg_reconstructions += round_reconstructions;
-    if (round_degraded) ++out.run.secagg_rounds_degraded;
     if (config.validate_every_round || round == config.rounds) {
       APPFL_SPAN("fl.validate", "fl");
       metrics.test_accuracy =
@@ -831,50 +619,24 @@ PopulationRunResult run_population(const RunConfig& config,
     } else {
       metrics.test_accuracy = -1.0;
     }
-    out.run.rounds.push_back(metrics);
     comm::RoundCommRecord rec;
     rec.round = round;
     rec.broadcast_s = metrics.broadcast_s;
     rec.gather_s = metrics.gather_s;
-    out.run.comm_rounds.push_back(std::move(rec));
-    obs_session.write_round(metrics);
-    obs::flight_record("round.done",
-                       "{\"round\":" + std::to_string(round) +
-                           ",\"responders\":" + std::to_string(responders) +
-                           "}");
+    session.result().comm_rounds.push_back(std::move(rec));
+    r.end(clock.now(), current_stats());
 
-    const bool halt_here =
-        config.halt_after_round > 0 && round == config.halt_after_round;
-    if (store &&
-        (round % config.checkpoint_every_n_rounds == 0 ||
-         round == config.rounds || halt_here)) {
-      APPFL_SPAN("ckpt.save", "ckpt");
-      obs::flight_record("ckpt.save",
-                         "{\"round\":" + std::to_string(round) + "}");
-      RoundCheckpoint rc;
-      rc.algorithm = to_string(config.algorithm);
-      rc.seed = config.seed;
-      rc.num_clients = static_cast<std::uint32_t>(n);
-      rc.param_count = param_count;
-      rc.total_rounds = static_cast<std::uint32_t>(config.rounds);
-      rc.rounds_completed = round;
-      rc.parameters = w;
-      rc.server.kind = "population";
-      rc.sampler_state = sampler.state();
-      rc.population = n;
-      rc.participants_per_round = static_cast<std::uint32_t>(k);
-      rc.participation.assign(participation.begin(), participation.end());
-      std::sort(rc.participation.begin(), rc.participation.end());
-      rc.comm.sim_now = clock.now();
-      rc.comm.stats = current_stats();
-      const comm::FaultInjector::PersistentState fs =
-          net.fault_persistent_state();
-      rc.comm.link_keys = fs.link_keys;
-      rc.comm.link_seqs = fs.link_seqs;
-      save_round_checkpoint(*store, rc);
-      ++out.run.checkpoints_written;
+    if (session.checkpoint_due(round, config.rounds)) {
+      session.save_checkpoint(round, [&](RoundCheckpoint& rc) {
+        rc.parameters = w;
+        rc.server.kind = "population";
+        rc.sampler_state = sampler.state();
+        rc.participation.assign(participation.begin(), participation.end());
+        std::sort(rc.participation.begin(), rc.participation.end());
+        rc.comm = comm::capture_comm_state(clock.now(), current_stats(), net);
+      });
     }
-    if (halt_here) break;
+    if (session.halt_after(round)) break;
   }
 
   const auto wall_end = std::chrono::steady_clock::now();
@@ -886,23 +648,21 @@ PopulationRunResult run_population(const RunConfig& config,
           ? static_cast<double>(events_processed) / out.engine.wall_seconds
           : 0.0;
   out.engine.peak_rss_bytes = peak_rss_bytes();
-  out.engine.mailbox_overflows =
-      stats.mailbox_overflows + net.mailbox_overflows();
+  out.engine.mailbox_overflows = current_stats().mailbox_overflows;
 
+  RunResult& result = session.result();
   {
     APPFL_SPAN("fl.validate", "fl");
-    out.run.final_accuracy =
+    result.final_accuracy =
         evaluate(*prototype, w, test_set, config.validate_batch).accuracy;
   }
-  out.run.final_parameters = std::move(w);
+  result.final_parameters = std::move(w);
   std::uint32_t max_count = 0;
   for (const auto& [id, count] : participation) {
     max_count = std::max(max_count, count);
   }
-  out.run.dp_epsilon_spent = static_cast<double>(max_count) * round_epsilon;
-  out.run.traffic = current_stats();
-  out.run.sim_comm_seconds = clock.now();
-  obs_session.finish(out.run);
+  result.dp_epsilon_spent = static_cast<double>(max_count) * round_epsilon;
+  out.run = session.finish(current_stats(), clock.now());
   return out;
 }
 

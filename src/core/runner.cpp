@@ -3,17 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <optional>
 #include <string>
 
-#include "core/checkpoint.hpp"
-#include "dp/secure_agg.hpp"
-#include "obs/flight.hpp"
-#include "obs/metrics.hpp"
 #include "core/fedavg.hpp"
+#include "core/round_session.hpp"
 #include "core/sampling.hpp"
-#include "core/obs_session.hpp"
 #include "dp/accountant.hpp"
 #include "core/iceadmm.hpp"
 #include "core/fedprox.hpp"
@@ -23,7 +18,6 @@
 #include "rng/distributions.hpp"
 #include "tensor/gemm.hpp"
 #include "util/check.hpp"
-#include "util/logging.hpp"
 
 namespace appfl::core {
 
@@ -194,75 +188,36 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
   util::ThreadPool pool;
   rng::Rng sampler(rng::derive_seed(config.seed, {78}));
 
-  // Observability session: raises the process level for this run, clears
-  // the global tracer/registry when enabled, streams per-round JSONL lines,
-  // and exports trace + summary at the end. At level off every hook below
-  // is a single relaxed atomic load, and the run is bit-identical.
-  ObsSession obs_session(config);
-
-  RunResult result;
-  result.model_parameters = server.num_parameters();
-
-  // Crash recovery: an empty dir keeps every path below untouched, so a
-  // checkpoint-free run stays bit-identical to a pre-checkpoint build.
-  std::optional<CheckpointStore> store;
-  if (!config.checkpoint_dir.empty()) store.emplace(config.checkpoint_dir);
+  // Observability, crash recovery and round bookkeeping. At obs level off
+  // every hook is a single relaxed atomic load, and the run is
+  // bit-identical.
+  RoundSession session(config, {num_clients, server.num_parameters(), 0, 0});
   dp::PrivacyAccountant accountant(num_clients);
   // ε is spent once per round by each client that releases an update
   // (basic composition); ε = ∞ rounds are accounted as zero leakage.
   const double round_epsilon = std::isfinite(config.epsilon) ? config.epsilon : 0.0;
 
-  // Per-client uplink fault attribution (retransmits, corrupt frames): the
-  // communicator counts cumulatively, the ledger wants per-round deltas.
-  std::vector<comm::Communicator::UplinkHealth> prev_uplink;
+  // Per-client uplink fault attribution (retransmits, corrupt frames).
+  if (session.metrics_enabled()) comm.attach_health(&session.health());
 
-  std::uint32_t start_round = 1;
-  if (!config.resume_from.empty()) {
-    APPFL_SPAN("ckpt.restore", "ckpt");
-    const RoundCheckpoint rc =
-        resume_round_checkpoint(config.resume_from, store);
-    APPFL_CHECK_MSG(
-        rc.seed == config.seed && rc.num_clients == num_clients &&
-            rc.param_count == server.num_parameters() &&
-            rc.total_rounds == config.rounds,
-        "checkpoint fingerprint mismatch: checkpoint is (seed="
-            << rc.seed << ", clients=" << rc.num_clients << ", params="
-            << rc.param_count << ", rounds=" << rc.total_rounds
-            << "), this run is (seed=" << config.seed << ", clients="
-            << num_clients << ", params=" << server.num_parameters()
-            << ", rounds=" << config.rounds << ")");
+  const std::uint32_t start_round = session.resume([&](const RoundCheckpoint& rc) {
     server.import_state(rc.server);  // also cross-checks the kind tag
     for (std::size_t p = 0; p < num_clients; ++p) {
       clients[p]->import_state(rc.clients[p]);
       accountant.restore_spent(p, rc.clients[p].dp_spent);
     }
     sampler.set_state(rc.sampler_state);
-    comm::Communicator::PersistentState cs;
-    cs.sim_now = rc.comm.sim_now;
-    cs.stats = rc.comm.stats;
-    cs.link_keys = rc.comm.link_keys;
-    cs.link_seqs = rc.comm.link_seqs;
-    cs.ef_residuals = rc.comm.ef_residuals;
-    comm.restore_persistent_state(cs);
-    start_round = rc.rounds_completed + 1;
-    result.resumed_from_round = rc.rounds_completed;
-  }
+    comm.restore_persistent_state(rc.comm);
+  });
 
   for (std::uint32_t round = start_round; round <= config.rounds; ++round) {
-    obs::ScopedSpan round_span("fl.round", "fl");
-    round_span.set_arg("round", round);
-    obs::flight_record("round.start",
-                       "{\"round\":" + std::to_string(round) + "}");
-    const double sim_round_start = comm.clock().now();
+    RoundSession::Round r(session, round, comm.clock().now(), comm.stats());
     // (0) Client sampling: all clients at fraction 1, otherwise ⌈f·P⌉
     // distinct ids drawn from the seed-derived stream.
     const std::vector<std::uint32_t> participants =
         sample_fraction(sampler, num_clients, config.client_fraction);
 
-    // (1) Global update + broadcast to the round's participants. The stats
-    // snapshot brackets the whole round, broadcast included, so the
-    // per-round metric deltas add up to the run totals.
-    const comm::TrafficStats before = comm.stats();
+    // (1) Global update + broadcast to the round's participants.
     const std::vector<float> w = [&] {
       APPFL_SPAN("fl.compute_global", "fl");
       return server.compute_global(round);
@@ -285,31 +240,15 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
     // phase (kSecAggShares → U2) and a masked-upload phase (U2 members
     // only → U3); see dp/secure_agg.hpp for the protocol.
     std::vector<char> trained(num_clients, 0);
-    std::uint64_t round_reconstructions = 0;
-    bool round_degraded = false;
-    SecaggDegradeReason degrade_reason = SecaggDegradeReason::kNone;
-    bool shares_below_threshold = false;
-    const bool track_health = obs_session.metrics_enabled();
-    std::size_t secagg_threshold = 0;
-    std::uint64_t round_seed = 0;
-    std::vector<std::optional<comm::Message>> pending_updates;
-    std::vector<std::unique_ptr<dp::SecureAggClient>> sec_clients;
-    if (config.secure_agg) {
-      APPFL_CHECK_MSG(participants.size() >= 2,
-                      "secure aggregation needs a cohort of at least 2, got "
-                          << participants.size());
-      secagg_threshold = config.secure_agg_threshold != 0
-                             ? config.secure_agg_threshold
-                             : participants.size() / 2 + 1;
-      APPFL_CHECK_MSG(secagg_threshold <= participants.size(),
-                      "secure_agg_threshold " << secagg_threshold
-                          << " exceeds the round cohort of "
-                          << participants.size());
-      round_seed =
-          rng::derive_seed(config.seed, {rng::stream::kSecureAgg, round});
-      pending_updates.resize(participants.size());
-      sec_clients.resize(participants.size());
-    }
+    const bool track_health = session.metrics_enabled();
+    std::optional<SecAggRound> sec;
+    if (config.secure_agg) sec.emplace(config, round, participants);
+    // Sends client `id`'s update and tells the client whether it got through.
+    const auto send_and_ack = [&](std::uint32_t id, const comm::Message& m) {
+      const bool delivered = comm.send_update(id, m);
+      if (track_health && !delivered) session.health().add_dropped_frames(id, 1);
+      clients[id - 1]->on_uplink_result(delivered);
+    };
     {
       // The wall time of this block is the round's parallel local-update
       // phase — the numerator's complement in the Fig 3b gather-share
@@ -328,61 +267,42 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
             comm.try_recv_global(id, round);
         if (!incoming) {
           // Downlink loss: the client never saw this round.
-          if (track_health) obs_session.health().note_dropout(id);
+          if (track_health) session.health().note_dropout(id);
           return;
         }
         trained[id - 1] = 1;
         const auto train_start = std::chrono::steady_clock::now();
         comm::Message update = clients[id - 1]->handle_global(*incoming);
         if (track_health) {
-          obs_session.health().observe_latency(
+          session.health().observe_latency(
               id, std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - train_start)
                       .count());
         }
-        if (!config.secure_agg) {
-          const bool delivered = comm.send_update(id, update);
-          if (track_health && !delivered) {
-            obs_session.health().add_dropped_frames(id, 1);
-          }
-          clients[id - 1]->on_uplink_result(delivered);
+        if (!sec) {
+          send_and_ack(id, update);
           return;
         }
         // Secure mode: hold the update, distribute Shamir shares first.
         // The share uplink rides the same reliability plane (retransmit,
         // deadline) as any update; losing it drops this client from U2.
-        sec_clients[i] = std::make_unique<dp::SecureAggClient>(
-            id, participants, round_seed, secagg_threshold);
-        pending_updates[i] = std::move(update);
-        comm::Message shares;
-        shares.kind = comm::MessageKind::kSecAggShares;
-        shares.sender = id;
-        shares.round = round;
-        shares.primal =
-            dp::pack_bytes_as_floats(sec_clients[i]->share_packet());
-        comm.send_update(id, shares);
+        comm.send_update(id, sec->share(i, std::move(update)));
       });
     }
 
-    std::optional<dp::SecureAggServer> sec_server;
-    if (config.secure_agg) {
+    if (sec) {
       // Share gather decides U2 (share-distribution survivors); the server
       // then releases the masked-upload phase for exactly that set. A
       // trained client outside U2 is told its uplink failed — its masks
       // could never be removed, so its update must not enter the sum.
-      sec_server.emplace(participants, round_seed, secagg_threshold);
       for (const comm::Message& m :
            comm.gather_secagg_shares(round, participants.size())) {
-        sec_server->deposit_share_packet(
-            m.sender, dp::unpack_bytes_from_floats(m.primal));
+        sec->deposit(m.sender, m.primal);
       }
-      const std::vector<std::uint32_t> u2 = sec_server->share_survivors();
-      std::vector<char> in_u2(num_clients, 0);
-      for (std::uint32_t id : u2) in_u2[id - 1] = 1;
-      const bool recoverable = u2.size() >= secagg_threshold;
-      shares_below_threshold = !recoverable;
+      const bool recoverable =
+          sec->close_shares(track_health ? &session.health() : nullptr);
       obs::ScopedSpan phase_span("fl.masked_upload_phase", "fl");
-      phase_span.set_arg("u2", u2.size());
+      phase_span.set_arg("u2", sec->u2().size());
       const std::uint64_t phase_id = phase_span.id();
       pool.parallel_for(participants.size(), [&](std::size_t i) {
         const std::uint32_t id = participants[i];
@@ -390,33 +310,13 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
         obs::ScopedSpan client_span("fl.masked_upload", "fl");
         client_span.set_parent(phase_id);
         client_span.set_arg("client", id);
-        if (!recoverable || !in_u2[id - 1]) {
-          // This client's share packet never reached the server: its masks
-          // could not be removed, so its update is discarded with it.
-          if (track_health && !in_u2[id - 1]) {
-            obs_session.health().add_share_discards(id, 1);
-          }
+        if (!recoverable || !sec->in_u2(i)) {
+          // No unmaskable sum this round, or this client's share packet never
+          // reached the server: its update is discarded.
           clients[id - 1]->on_uplink_result(false);
           return;
         }
-        const comm::Message& update = *pending_updates[i];
-        const double weight =
-            config.weighted_aggregation
-                ? static_cast<double>(update.sample_count)
-                : 1.0;
-        comm::Message masked;
-        masked.kind = comm::MessageKind::kLocalUpdate;
-        masked.sender = id;
-        masked.round = round;
-        masked.sample_count = update.sample_count;
-        masked.loss = update.loss;
-        masked.primal = dp::pack_words_as_floats(sec_clients[i]->mask(
-            update.primal, u2, dp::kDefaultScale, weight));
-        const bool delivered = comm.send_update(id, masked);
-        if (track_health && !delivered) {
-          obs_session.health().add_dropped_frames(id, 1);
-        }
-        clients[id - 1]->on_uplink_result(delivered);
+        send_and_ack(id, sec->masked_upload(i));
       });
     }
 
@@ -428,14 +328,14 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
     // U2 members send), and the gather still runs when the round already
     // degraded so the round keeps its comm record and timeline.
     const std::size_t expected_uploads =
-        config.secure_agg
-            ? std::max<std::size_t>(sec_server->share_survivors().size(), 1)
-            : participants.size();
+        sec ? std::max<std::size_t>(sec->u2().size(), 1) : participants.size();
     const comm::GatherBatch batch = [&] {
       APPFL_SPAN("fl.gather_phase", "fl");
       return comm.gather_batch(round, expected_uploads);
     }();
-    if (!config.secure_agg) {
+    const std::uint64_t samples = r.record_uploads(batch.updates());
+    RoundMetrics& metrics = r.metrics;
+    if (!sec) {
       APPFL_SPAN("fl.aggregate", "fl");
       if (!server.absorb(batch, w, round)) {
         const std::vector<comm::Message> locals = batch.take_messages();
@@ -443,135 +343,38 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
       }
     } else {
       APPFL_SPAN("fl.secagg_unmask", "fl");
-      // U3 = upload survivors. Sum their masked words, reconstruct the
-      // self-masks of U3 and the pairwise keys of U2 \ U3 from the shares,
-      // and recover the exact fixed-point survivor sum.
-      std::vector<std::uint32_t> u3;
-      std::vector<std::vector<std::uint64_t>> uploads;
-      double total_weight = 0.0;
-      std::uint64_t total_samples = 0;
-      double loss_acc = 0.0;
-      for (const auto& u : batch.updates()) {
-        APPFL_CHECK(u.primal.enc == comm::WireEncoding::kF32 &&
-                    u.primal.count % 2 == 0);
-        u3.push_back(u.sender);
-        std::vector<std::uint64_t> words(u.primal.count / 2);
-        std::memcpy(words.data(), u.primal.data, u.primal.count * 4);
-        uploads.push_back(std::move(words));
-        total_weight += config.weighted_aggregation
-                            ? static_cast<double>(u.sample_count)
-                            : 1.0;
-        total_samples += u.sample_count;
-        loss_acc += u.loss * static_cast<double>(u.sample_count);
-      }
-      const dp::SecureAggServer::Recovery recovery =
-          sec_server->unmask(u3, uploads);
-      if (recovery.ok) {
-        round_reconstructions = recovery.pair_keys_reconstructed;
-        // One synthesized update carrying the recovered survivor mean:
-        // FedAvg/FedProx's weighted mean of a single message is that
-        // message, so the server classes need no secure-agg awareness.
+      // U3 = upload survivors; their recovered weighted mean reaches the
+      // server as one synthesized update: FedAvg/FedProx's weighted mean of
+      // a single message is that message, so the server classes need no
+      // secure-agg awareness.
+      if (std::optional<std::vector<float>> mean = sec->unmask(batch.updates())) {
         comm::Message synth;
         synth.kind = comm::MessageKind::kLocalUpdate;
-        synth.sender = u3.front();
+        synth.sender = batch.updates().front().sender;
         synth.round = round;
-        synth.sample_count = total_samples;
-        synth.loss = total_samples > 0
-                         ? loss_acc / static_cast<double>(total_samples)
-                         : 0.0;
-        synth.primal = dp::dequantize_sum(recovery.sum,
-                                          dp::kDefaultScale * total_weight);
+        synth.sample_count = samples;
+        synth.loss = metrics.train_loss;
+        synth.primal = std::move(*mean);
         std::vector<comm::Message> locals;
         locals.push_back(std::move(synth));
         server.update(locals, w, round);
-      } else {
-        // Below threshold: skip the model update, count the round, keep
-        // running — graceful degradation, never a partial unmask. The
-        // reason distinguishes WHERE the cohort thinned: the share wave
-        // (U2 < t, nobody even uploaded) or the masked uploads (U3 < t).
-        round_degraded = true;
-        degrade_reason = shares_below_threshold
-                             ? SecaggDegradeReason::kShareWaveTimeout
-                             : SecaggDegradeReason::kBelowThreshold;
       }
-      if (obs::metrics_on()) {
-        static obs::Counter& reconstructions =
-            obs::MetricsRegistry::global().counter(
-                "secure_agg.reconstructions");
-        static obs::Counter& degraded =
-            obs::MetricsRegistry::global().counter(
-                "secure_agg.rounds_degraded");
-        reconstructions.add(round_reconstructions);
-        if (round_degraded) degraded.add(1);
-      }
+      sec->report(metrics);
     }
-    if (round_degraded) {
-      // Degraded rounds are a flight-recorder trigger: dump the black box
-      // now, while the events leading here are still in the ring.
-      obs::flight_record("secagg.degraded",
-                         "{\"round\":" + std::to_string(round) +
-                             ",\"reason\":\"" + to_string(degrade_reason) +
-                             "\"}");
-      obs::FlightRecorder::global().dump("secagg-degraded-" +
-                                         to_string(degrade_reason));
-    }
-    const comm::TrafficStats after = comm.stats();
-    round_span.set_sim(sim_round_start,
-                      comm.clock().now() - sim_round_start);
     // Every client that trained released a perturbed update, so it spent
     // this round's ε whether or not the network delivered it.
     for (std::size_t p = 0; p < num_clients; ++p) {
-      if (trained[p]) accountant.spend(p, round_epsilon);
-    }
-    if (track_health) {
-      for (std::size_t p = 0; p < num_clients; ++p) {
-        if (trained[p]) {
-          obs_session.health().set_dp_epsilon(
-              static_cast<std::uint32_t>(p + 1), accountant.spent(p));
-        }
+      if (!trained[p]) continue;
+      accountant.spend(p, round_epsilon);
+      if (track_health) {
+        session.health().set_dp_epsilon(static_cast<std::uint32_t>(p + 1),
+                                        accountant.spent(p));
       }
-      // Fold this round's communicator-attributed faults into the ledger.
-      std::vector<comm::Communicator::UplinkHealth> uh = comm.uplink_health();
-      for (std::size_t p = 0; p < uh.size(); ++p) {
-        const comm::Communicator::UplinkHealth base =
-            p < prev_uplink.size() ? prev_uplink[p]
-                                   : comm::Communicator::UplinkHealth{};
-        const std::uint32_t id = static_cast<std::uint32_t>(p + 1);
-        if (uh[p].retransmits > base.retransmits) {
-          obs_session.health().add_retransmits(
-              id, uh[p].retransmits - base.retransmits);
-        }
-        if (uh[p].corrupt > base.corrupt) {
-          obs_session.health().add_corrupt_frames(id,
-                                                  uh[p].corrupt - base.corrupt);
-        }
-      }
-      prev_uplink = std::move(uh);
     }
 
     // (4) Metrics.
-    RoundMetrics metrics;
-    metrics.round = round;
     metrics.rho = global.rho;
     metrics.participants = participants.size();
-    metrics.responders = batch.size();
-    metrics.drops = after.drops - before.drops;
-    metrics.retries = after.retries - before.retries;
-    metrics.crc_failures = after.crc_failures - before.crc_failures;
-    metrics.discards = after.discards - before.discards;
-    metrics.timeouts = after.gather_timeouts - before.gather_timeouts;
-    metrics.secagg_reconstructions = round_reconstructions;
-    metrics.secagg_degraded = round_degraded;
-    metrics.secagg_degrade_reason = degrade_reason;
-    result.secagg_reconstructions += round_reconstructions;
-    if (round_degraded) ++result.secagg_rounds_degraded;
-    double loss_acc = 0.0;
-    std::uint64_t samples = 0;
-    for (const auto& u : batch.updates()) {
-      loss_acc += u.loss * static_cast<double>(u.sample_count);
-      samples += u.sample_count;
-    }
-    metrics.train_loss = samples > 0 ? loss_acc / static_cast<double>(samples) : 0.0;
     const auto& rec = comm.round_log().back();
     metrics.broadcast_s = rec.broadcast_s;
     metrics.gather_s = rec.gather_s;
@@ -581,64 +384,26 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
     } else {
       metrics.test_accuracy = -1.0;
     }
-    if (comm.fault_plane_active()) {
-      APPFL_LOG_DEBUG(to_string(config.algorithm)
-                      << " round " << round << ": loss=" << metrics.train_loss
-                      << " acc=" << metrics.test_accuracy << " responders="
-                      << metrics.responders << "/" << metrics.participants
-                      << " drops=" << metrics.drops << " retries="
-                      << metrics.retries << " crc=" << metrics.crc_failures
-                      << " discards=" << metrics.discards
-                      << " timeouts=" << metrics.timeouts);
-    } else {
-      APPFL_LOG_DEBUG(to_string(config.algorithm)
-                      << " round " << round << ": loss=" << metrics.train_loss
-                      << " acc=" << metrics.test_accuracy);
-    }
-    result.rounds.push_back(metrics);
-    obs_session.write_round(metrics);
-    obs::flight_record("round.done",
-                       "{\"round\":" + std::to_string(round) +
-                           ",\"responders\":" +
-                           std::to_string(metrics.responders) + "}");
+    r.end(comm.clock().now(), comm.stats());
 
-    // (5) Round checkpoint: captured after the server absorbed the round,
-    // so a restart replays nothing and skips nothing.
-    const bool halt_here =
-        config.halt_after_round > 0 && round == config.halt_after_round;
-    if (store &&
-        (round % config.checkpoint_every_n_rounds == 0 ||
-         round == config.rounds || halt_here)) {
-      APPFL_SPAN("ckpt.save", "ckpt");
-      obs::flight_record("ckpt.save",
-                         "{\"round\":" + std::to_string(round) + "}");
-      RoundCheckpoint rc;
-      rc.algorithm = to_string(config.algorithm);
-      rc.seed = config.seed;
-      rc.num_clients = static_cast<std::uint32_t>(num_clients);
-      rc.param_count = server.num_parameters();
-      rc.total_rounds = static_cast<std::uint32_t>(config.rounds);
-      rc.rounds_completed = round;
-      rc.parameters = w;
-      rc.server = server.export_state();
-      for (std::size_t p = 0; p < num_clients; ++p) {
-        rc.clients.push_back(clients[p]->export_state());
-        rc.clients.back().dp_spent = accountant.spent(p);
-      }
-      rc.sampler_state = sampler.state();
-      const comm::Communicator::PersistentState cs = comm.persistent_state();
-      rc.comm.sim_now = cs.sim_now;
-      rc.comm.stats = cs.stats;
-      rc.comm.link_keys = cs.link_keys;
-      rc.comm.link_seqs = cs.link_seqs;
-      rc.comm.ef_residuals = cs.ef_residuals;
-      save_round_checkpoint(*store, rc);
-      ++result.checkpoints_written;
+    // (5) Round checkpoint.
+    if (session.checkpoint_due(round, config.rounds)) {
+      session.save_checkpoint(round, [&](RoundCheckpoint& rc) {
+        rc.parameters = w;
+        rc.server = server.export_state();
+        for (std::size_t p = 0; p < num_clients; ++p) {
+          rc.clients.push_back(clients[p]->export_state());
+          rc.clients.back().dp_spent = accountant.spent(p);
+        }
+        rc.sampler_state = sampler.state();
+        rc.comm = comm.persistent_state();
+      });
     }
-    if (halt_here) break;
+    if (session.halt_after(round)) break;
   }
 
   // Final validation on the post-absorption global parameters.
+  RunResult& result = session.result();
   const std::vector<float> w_final =
       server.compute_global(static_cast<std::uint32_t>(config.rounds + 1));
   {
@@ -647,11 +412,8 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
   }
   result.final_parameters = w_final;
   result.dp_epsilon_spent = accountant.max_spent();
-  result.traffic = comm.stats();
   result.comm_rounds = comm.round_log();
-  result.sim_comm_seconds = comm.clock().now();
-  obs_session.finish(result);
-  return result;
+  return session.finish(comm.stats(), comm.clock().now());
 }
 
 }  // namespace appfl::core

@@ -11,7 +11,7 @@
 //
 // Dumping requires a directory (set_dump_dir; --flight-dir / a
 // APPFL_OBS_FLIGHT_DIR override). Recording without a directory still fills
-// the ring — ObsSession can embed it in the summary.
+// the ring — RoundSession can embed it in the summary.
 #pragma once
 
 #include <chrono>

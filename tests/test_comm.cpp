@@ -187,6 +187,18 @@ TEST(Communicator, FaultFreeGatherDiagnosesUnfillableExpectation) {
   EXPECT_THROW(comm.gather_locals(2, /*expected=*/1), appfl::Error);
 }
 
+TEST(Communicator, FaultFreeShortGatherFailsFast) {
+  // Fault plane off, callers send before they gather: a mailbox holding
+  // one update can never supply a second, so the gather throws instead of
+  // blocking forever in the mailbox.
+  Communicator comm(Protocol::kMpi, 2, 1);
+  comm.broadcast_global(global_msg(1, 4));
+  comm.recv_global(1);
+  comm.recv_global(2);
+  comm.send_update(1, local_msg(1, 1, 4));
+  EXPECT_THROW(comm.gather_locals(1, /*expected=*/2), appfl::Error);
+}
+
 TEST(Communicator, SenderFieldMustMatchClient) {
   Communicator comm(Protocol::kMpi, 2, 1);
   EXPECT_THROW(comm.send_update(1, local_msg(2, 1, 4)), appfl::Error);

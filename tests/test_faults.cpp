@@ -240,8 +240,8 @@ TEST_P(FaultProtocolTest, DuplicateDeliveriesAreDiscardedAcrossRounds) {
   const auto round1 = comm.gather_locals(1, 2);
   ASSERT_EQ(round1.size(), 2U);
   EXPECT_EQ(comm.stats().duplicates, 2U);
-  // The second copy of the last-considered update is still queued; next
-  // round it is stale and must be discarded, not absorbed.
+  // Both second copies were drained with round 1; round 2's copies must
+  // be discarded too, never absorbed.
   comm.send_update(1, local_msg(1, 2, 16));
   comm.send_update(2, local_msg(2, 2, 16));
   const auto round2 = comm.gather_locals(2, 2);
@@ -459,6 +459,32 @@ TEST(FaultsEndToEnd, IIAdmmDualReplicasSurviveCorruptedUplinks) {
                 std::bit_cast<std::uint32_t>(server_dual[i]))
           << "client " << p + 1 << " coord " << i;
     }
+  }
+}
+
+TEST(FaultsEndToEnd, DuplicateFaultTrafficIsDeterministic) {
+  // Clients send concurrently, so duplicates land in the server mailbox in
+  // any order. The gather drains everything deliverable when it fills, so
+  // the ledger (discards included) must not depend on that order.
+  appfl::data::SynthImageSpec spec;
+  spec.num_clients = 4;
+  spec.train_per_client = 32;
+  spec.test_size = 256;
+  spec.seed = 3;
+  const auto split = appfl::data::mnist_like(spec);
+  appfl::core::RunConfig cfg;
+  cfg.algorithm = appfl::core::Algorithm::kFedAvg;
+  cfg.model = appfl::core::ModelKind::kMlp;
+  cfg.rounds = 3;
+  cfg.seed = 3;
+  cfg.validate_every_round = false;
+  cfg.faults.duplicate = 0.1;
+  const auto first = appfl::core::run_federated(cfg, split);
+  EXPECT_GT(first.traffic.duplicates, 0U);
+  EXPECT_GT(first.traffic.discards, 0U);
+  for (int run = 1; run < 20; ++run) {
+    const auto again = appfl::core::run_federated(cfg, split);
+    ASSERT_EQ(again.traffic, first.traffic) << "run " << run;
   }
 }
 
