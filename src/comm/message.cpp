@@ -4,6 +4,7 @@
 #include <span>
 
 #include "comm/protolite.hpp"
+#include "util/bytes.hpp"
 #include "util/check.hpp"
 
 namespace appfl::comm {
@@ -82,7 +83,7 @@ void append_float_vec(std::vector<std::uint8_t>& out,
   append_u64(out, v.size());
   const std::size_t start = out.size();
   out.resize(start + 4 * v.size());
-  std::memcpy(out.data() + start, v.data(), 4 * v.size());
+  util::copy_bytes(out.data() + start, v.data(), 4 * v.size());
 }
 
 FloatView read_float_view(std::span<const std::uint8_t> b, std::size_t& off) {
@@ -106,7 +107,7 @@ float FloatView::operator[](std::size_t i) const {
 
 void FloatView::copy_into(std::vector<float>& out) const {
   out.resize(count_);
-  if (count_ > 0) std::memcpy(out.data(), data_, 4 * count_);
+  util::copy_bytes(out.data(), data_, 4 * count_);
 }
 
 std::vector<float> FloatView::to_vector() const {

@@ -364,13 +364,21 @@ PopulationRunResult run_population(const RunConfig& config,
       for (std::size_t slot = 0; slot < k; ++slot) {
         if (sec->shared(slot)) ++shares_sent;
       }
+      // The packets are read where they landed: drain every datagram
+      // first, then open views into them.
+      std::vector<comm::Datagram> arrived;
       while (std::optional<comm::Datagram> d = net.try_recv(0)) {
+        arrived.push_back(std::move(*d));
+      }
+      std::vector<SecAggRound::SharePacket> packets;
+      for (const comm::Datagram& d : arrived) {
         const std::optional<comm::MessageView> v =
-            open_from_slot(*d, comm::MessageKind::kSecAggShares, 0, k,
+            open_from_slot(d, comm::MessageKind::kSecAggShares, 0, k,
                            stats.crc_failures, stats.discards);
-        if (v && !sec->deposit(v->sender, v->primal.to_vector())) {
-          ++stats.discards;  // duplicate delivery or tampered packet
-        }
+        if (v) packets.push_back({v->sender, v->primal});
+      }
+      for (const bool accepted : sec->deposit_all(packets, pool)) {
+        if (!accepted) ++stats.discards;  // duplicate or tampered packet
       }
       const bool recoverable =
           sec->close_shares(track_health ? &session.health() : nullptr);

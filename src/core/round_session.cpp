@@ -1,7 +1,6 @@
 #include "core/round_session.hpp"
 
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "obs/critpath.hpp"
@@ -317,13 +316,30 @@ comm::Message SecAggRound::masked_upload(std::size_t slot) const {
   return masked;
 }
 
-bool SecAggRound::deposit(std::uint32_t sender, std::span<const float> packet) {
-  try {
-    return server_.deposit_share_packet(sender,
-                                        dp::unpack_bytes_from_floats(packet));
-  } catch (const Error&) {
-    return false;
+std::vector<bool> SecAggRound::deposit_all(
+    std::span<const SharePacket> packets, util::ThreadPool& pool) {
+  // Verification reads only the cohort and the threshold, so it fans out;
+  // the deposits stay serial so a duplicate loses to the first valid copy.
+  std::vector<std::optional<dp::SecureAggServer::VerifiedPacket>> verified(
+      packets.size());
+  pool.parallel_for(packets.size(), [&](std::size_t i) {
+    const comm::FloatView& payload = packets[i].payload;
+    try {
+      verified[i] = server_.verify_share_packet(
+          packets[i].sender,
+          dp::unframe_bytes({payload.bytes(), 4 * payload.size()}));
+    } catch (const Error&) {
+      // Malformed framing: the packet stays unverified.
+    }
+  });
+  std::vector<bool> accepted(packets.size(), false);
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    if (verified[i]) {
+      accepted[i] = server_.deposit_verified(packets[i].sender,
+                                             std::move(*verified[i]));
+    }
   }
+  return accepted;
 }
 
 bool SecAggRound::close_shares(obs::HealthLedger* health) {
@@ -337,8 +353,9 @@ bool SecAggRound::close_shares(obs::HealthLedger* health) {
 
 std::optional<std::vector<float>> SecAggRound::unmask(
     std::span<const comm::GatherUpdate> uploads) {
+  // The masked words are unmasked where they landed in the wire buffers.
   std::vector<std::uint32_t> u3;
-  std::vector<std::vector<std::uint64_t>> words;
+  std::vector<std::span<const std::uint8_t>> words;
   u3.reserve(uploads.size());
   words.reserve(uploads.size());
   double total_weight = 0.0;
@@ -346,9 +363,7 @@ std::optional<std::vector<float>> SecAggRound::unmask(
     APPFL_CHECK(u.primal.enc == comm::WireEncoding::kF32 &&
                 u.primal.count % 2 == 0);
     u3.push_back(u.sender);
-    std::vector<std::uint64_t> w(u.primal.count / 2);
-    std::memcpy(w.data(), u.primal.data, u.primal.count * 4);
-    words.push_back(std::move(w));
+    words.push_back({u.primal.data, u.primal.count * 4});
     total_weight +=
         weighted_ ? static_cast<double>(u.sample_count) : 1.0;
   }

@@ -35,6 +35,7 @@
 #include "obs/health.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
+#include "util/thread_pool.hpp"
 
 namespace appfl::core {
 
@@ -145,10 +146,11 @@ class RoundSession {
 
 /// One Bonawitz secure-aggregation round (dp/secure_agg.hpp) over a sampled
 /// cohort; a slot is a cohort index. Each trained slot's share() goes out
-/// first; the server deposit()s what arrives and close_shares() freezes U2;
-/// U2 slots send masked_upload(); unmask() turns the uploads that arrived
-/// (U3) into the weighted survivor mean, or degrades the round. Client-side
-/// calls for distinct slots may run concurrently.
+/// first; the server passes what arrives to deposit_all() and
+/// close_shares() freezes U2; U2 slots send masked_upload(); unmask() turns
+/// the uploads that arrived (U3) into the weighted survivor mean, or
+/// degrades the round. Client-side calls for distinct slots may run
+/// concurrently.
 class SecAggRound {
  public:
   /// t = config.secure_agg_threshold, or ⌊k/2⌋+1 when 0; needs 2 ≤ t ≤ k.
@@ -162,9 +164,17 @@ class SecAggRound {
   /// The held update masked against U2, as a kLocalUpdate message.
   comm::Message masked_upload(std::size_t slot) const;
 
-  /// Deposits one share packet (as carried in primal). False — never a
-  /// throw — for a malformed, tampered or duplicate packet.
-  bool deposit(std::uint32_t sender, std::span<const float> packet);
+  /// A share packet as received: its sender and the primal payload.
+  struct SharePacket {
+    std::uint32_t sender = 0;
+    comm::FloatView payload;
+  };
+  /// Deposits a batch of share packets: parses and Feldman-verifies them on
+  /// `pool`, then deposits them serially in batch order. Returns each
+  /// packet's verdict — false, never a throw, for a malformed, tampered or
+  /// duplicate packet — exactly as one-at-a-time deposits would.
+  std::vector<bool> deposit_all(std::span<const SharePacket> packets,
+                                util::ThreadPool& pool);
   /// Freezes U2 from the deposited packets and returns whether |U2| ≥ t.
   /// A slot that shared but is outside U2 has its update discarded with
   /// its lost packet; it is counted in `health`, if given.

@@ -295,10 +295,16 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
       // then releases the masked-upload phase for exactly that set. A
       // trained client outside U2 is told its uplink failed — its masks
       // could never be removed, so its update must not enter the sum.
-      for (const comm::Message& m :
-           comm.gather_secagg_shares(round, participants.size())) {
-        sec->deposit(m.sender, m.primal);
+      const std::vector<comm::Message> shares =
+          comm.gather_secagg_shares(round, participants.size());
+      std::vector<SecAggRound::SharePacket> packets;
+      packets.reserve(shares.size());
+      for (const comm::Message& m : shares) {
+        const auto* bytes =
+            reinterpret_cast<const std::uint8_t*>(m.primal.data());
+        packets.push_back({m.sender, comm::FloatView(bytes, m.primal.size())});
       }
+      sec->deposit_all(packets, pool);
       const bool recoverable =
           sec->close_shares(track_health ? &session.health() : nullptr);
       obs::ScopedSpan phase_span("fl.masked_upload_phase", "fl");

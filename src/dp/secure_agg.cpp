@@ -6,6 +6,8 @@
 #include <limits>
 
 #include "rng/rng.hpp"
+#include "rng/streams.hpp"
+#include "util/bytes.hpp"
 #include "util/check.hpp"
 
 namespace appfl::dp {
@@ -142,27 +144,32 @@ std::vector<float> pack_bytes_as_floats(std::span<const std::uint8_t> bytes) {
   framed.insert(framed.end(), bytes.begin(), bytes.end());
   while (framed.size() % 4 != 0) framed.push_back(0);
   std::vector<float> out(framed.size() / 4);
-  std::memcpy(out.data(), framed.data(), framed.size());
+  util::copy_bytes(out.data(), framed.data(), framed.size());
   return out;
+}
+
+std::span<const std::uint8_t> unframe_bytes(
+    std::span<const std::uint8_t> words) {
+  APPFL_CHECK_MSG(words.size() >= 4, "empty transport payload");
+  std::uint32_t len = 0;
+  for (int i = 0; i < 4; ++i) len |= std::uint32_t{words[i]} << (8 * i);
+  APPFL_CHECK_MSG(4 + std::size_t{len} <= words.size(),
+                  "transport payload length prefix " << len
+                      << " exceeds " << words.size() - 4 << " bytes");
+  return words.subspan(4, len);
 }
 
 std::vector<std::uint8_t> unpack_bytes_from_floats(
     std::span<const float> words) {
-  APPFL_CHECK_MSG(!words.empty(), "empty transport payload");
-  std::vector<std::uint8_t> framed(words.size() * 4);
-  std::memcpy(framed.data(), words.data(), framed.size());
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) len |= std::uint32_t{framed[i]} << (8 * i);
-  APPFL_CHECK_MSG(4 + std::size_t{len} <= framed.size(),
-                  "transport payload length prefix " << len
-                      << " exceeds " << framed.size() - 4 << " bytes");
-  return {framed.begin() + 4, framed.begin() + 4 + len};
+  const std::span<const std::uint8_t> bytes = unframe_bytes(
+      {reinterpret_cast<const std::uint8_t*>(words.data()), words.size() * 4});
+  return {bytes.begin(), bytes.end()};
 }
 
 std::vector<float> pack_words_as_floats(
     std::span<const std::uint64_t> words) {
   std::vector<float> out(words.size() * 2);
-  std::memcpy(out.data(), words.data(), words.size() * 8);
+  util::copy_bytes(out.data(), words.data(), words.size() * 8);
   return out;
 }
 
@@ -172,7 +179,7 @@ std::vector<std::uint64_t> unpack_words_from_floats(
                   "masked payload float count " << floats.size()
                                                 << " is not word-aligned");
   std::vector<std::uint64_t> out(floats.size() / 2);
-  std::memcpy(out.data(), floats.data(), floats.size() * 4);
+  util::copy_bytes(out.data(), floats.data(), floats.size() * 4);
   return out;
 }
 
@@ -248,22 +255,16 @@ std::vector<std::uint64_t> SecureAggClient::mask(
   }
   APPFL_CHECK_MSG(self_in_u2, "client " << id_ << " missing from u2");
 
-  // Self-mask, streamed straight into the buffer.
-  rng::Rng self_prg(self_seed_for(self_seed_, id_));
-  for (auto& w : out) w += self_prg.next();
-
-  // Pairwise masks: one PRG per surviving peer, words streamed in place —
-  // no per-pair temporaries (the old implementation allocated an O(len)
-  // vector per pair).
+  // The self-mask, plus one pairwise stream per surviving peer: added when
+  // this client has the smaller id, subtracted otherwise, so each pair's
+  // streams cancel in the sum.
+  std::vector<rng::StreamTerm> terms;
+  terms.reserve(u2.size());
+  terms.push_back({self_seed_for(self_seed_, id_), false});
   for (std::uint32_t other : u2) {
-    if (other == id_) continue;
-    rng::Rng prg(pair_prg_seed(other));
-    if (id_ < other) {
-      for (auto& w : out) w += prg.next();
-    } else {
-      for (auto& w : out) w -= prg.next();
-    }
+    if (other != id_) terms.push_back({pair_prg_seed(other), id_ > other});
   }
+  rng::add_streams(out, terms);
   return out;
 }
 
@@ -286,66 +287,77 @@ std::size_t SecureAggServer::index_of(std::uint32_t id) const {
   return static_cast<std::size_t>(it - cohort_.begin());
 }
 
-bool SecureAggServer::deposit_share_packet(
-    std::uint32_t sender, std::span<const std::uint8_t> bytes) {
-  const auto it = std::lower_bound(cohort_.begin(), cohort_.end(), sender);
-  if (it == cohort_.end() || *it != sender) return false;
-  const auto pos = static_cast<std::size_t>(it - cohort_.begin());
-  if (packets_[pos].present) return false;  // duplicate packet
-
+std::optional<SecureAggServer::VerifiedPacket>
+SecureAggServer::verify_share_packet(
+    std::uint32_t sender, std::span<const std::uint8_t> bytes) const {
+  if (!std::binary_search(cohort_.begin(), cohort_.end(), sender)) {
+    return std::nullopt;
+  }
   Reader r(bytes);
   std::uint32_t magic = 0, id = 0, n = 0, t = 0;
-  if (!r.u32(magic) || magic != kPacketMagic) return false;
-  if (!r.u32(id) || id != sender) return false;
-  if (!r.u32(n) || n != cohort_.size()) return false;
-  if (!r.u32(t) || t != threshold_) return false;
+  if (!r.u32(magic) || magic != kPacketMagic) return std::nullopt;
+  if (!r.u32(id) || id != sender) return std::nullopt;
+  if (!r.u32(n) || n != cohort_.size()) return std::nullopt;
+  if (!r.u32(t) || t != threshold_) return std::nullopt;
 
-  Packet p;
-  if (!r.u64(p.pk)) return false;
+  VerifiedPacket p;
+  if (!r.u64(p.pk)) return std::nullopt;
   p.b_shares.resize(n);
   p.k_shares.resize(n);
-  for (auto& sh : p.b_shares) {
-    if (!r.u32(sh.x) || !r.u64(sh.y_lo) || !r.u64(sh.y_hi)) return false;
-  }
-  for (auto& sh : p.k_shares) {
-    if (!r.u32(sh.x) || !r.u64(sh.y_lo) || !r.u64(sh.y_hi)) return false;
+  for (auto* shares : {&p.b_shares, &p.k_shares}) {
+    for (auto& sh : *shares) {
+      if (!r.u32(sh.x) || !r.u64(sh.y_lo) || !r.u64(sh.y_hi)) {
+        return std::nullopt;
+      }
+    }
   }
   std::vector<std::uint64_t> b_lo(t), b_hi(t), k_lo(t), k_hi(t);
-  for (auto& c : b_lo) if (!r.u64(c)) return false;
-  for (auto& c : b_hi) if (!r.u64(c)) return false;
-  for (auto& c : k_lo) if (!r.u64(c)) return false;
-  for (auto& c : k_hi) if (!r.u64(c)) return false;
-  if (!r.done()) return false;  // trailing bytes: malformed
+  for (auto& c : b_lo) if (!r.u64(c)) return std::nullopt;
+  for (auto& c : b_hi) if (!r.u64(c)) return std::nullopt;
+  for (auto& c : k_lo) if (!r.u64(c)) return std::nullopt;
+  for (auto& c : k_hi) if (!r.u64(c)) return std::nullopt;
+  if (!r.done()) return std::nullopt;  // trailing bytes: malformed
 
   // Feldman verification of every share, and of the public key against the
   // constant-term commitments: pk = g^k = C0_lo * C0_hi^(2^32).
   for (std::size_t j = 0; j < n; ++j) {
-    if (p.b_shares[j].x != static_cast<std::uint32_t>(j + 1)) return false;
-    if (p.k_shares[j].x != static_cast<std::uint32_t>(j + 1)) return false;
-    if (!shamir::verify_share(p.b_shares[j], b_lo, b_hi)) return false;
-    if (!shamir::verify_share(p.k_shares[j], k_lo, k_hi)) return false;
+    const auto x = static_cast<std::uint32_t>(j + 1);
+    if (p.b_shares[j].x != x || p.k_shares[j].x != x) return std::nullopt;
+    if (!shamir::verify_share(p.b_shares[j], b_lo, b_hi)) return std::nullopt;
+    if (!shamir::verify_share(p.k_shares[j], k_lo, k_hi)) return std::nullopt;
   }
   if (p.pk != shamir::commit_mul(
                   k_lo[0], shamir::commit_pow(k_hi[0], 1ULL << 32))) {
-    return false;
+    return std::nullopt;
   }
+  return p;
+}
 
-  p.present = true;
-  packets_[pos] = std::move(p);
+bool SecureAggServer::deposit_verified(std::uint32_t sender,
+                                       VerifiedPacket packet) {
+  std::optional<VerifiedPacket>& slot = packets_[index_of(sender)];
+  if (slot) return false;  // duplicate packet
+  slot = std::move(packet);
   return true;
+}
+
+bool SecureAggServer::deposit_share_packet(
+    std::uint32_t sender, std::span<const std::uint8_t> bytes) {
+  std::optional<VerifiedPacket> p = verify_share_packet(sender, bytes);
+  return p && deposit_verified(sender, std::move(*p));
 }
 
 std::vector<std::uint32_t> SecureAggServer::share_survivors() const {
   std::vector<std::uint32_t> u2;
   for (std::size_t i = 0; i < cohort_.size(); ++i) {
-    if (packets_[i].present) u2.push_back(cohort_[i]);
+    if (packets_[i]) u2.push_back(cohort_[i]);
   }
   return u2;
 }
 
 SecureAggServer::Recovery SecureAggServer::unmask(
     std::span<const std::uint32_t> u3,
-    const std::vector<std::vector<std::uint64_t>>& uploads) const {
+    std::span<const std::span<const std::uint8_t>> uploads) const {
   APPFL_CHECK(u3.size() == uploads.size());
   Recovery rec;
   if (u3.size() < threshold_) return rec;  // ok stays false: degrade
@@ -354,15 +366,29 @@ SecureAggServer::Recovery SecureAggServer::unmask(
   std::vector<std::size_t> u3_pos(u3.size());
   for (std::size_t i = 0; i < u3.size(); ++i) {
     u3_pos[i] = index_of(u3[i]);
-    APPFL_CHECK_MSG(packets_[u3_pos[i]].present,
+    APPFL_CHECK_MSG(packets_[u3_pos[i]].has_value(),
                     "upload survivor " << u3[i] << " is not in U2");
   }
 
-  const std::size_t len = uploads.empty() ? 0 : uploads.front().size();
+  // Sum the uploads where they lie, one L1-sized block of the sum at a
+  // time; memcpy is the unaligned load.
+  const std::size_t bytes = uploads.empty() ? 0 : uploads.front().size();
+  APPFL_CHECK(bytes % 8 == 0);
+  for (const auto& up : uploads) APPFL_CHECK(up.size() == bytes);
+  const std::size_t len = bytes / 8;
   rec.sum.assign(len, 0);
-  for (const auto& up : uploads) {
-    APPFL_CHECK(up.size() == len);
-    for (std::size_t i = 0; i < len; ++i) rec.sum[i] += up[i];
+  constexpr std::size_t kBlock = 512;
+  for (std::size_t b = 0; b < len; b += kBlock) {
+    const std::size_t n = std::min(kBlock, len - b);
+    std::uint64_t* sum = rec.sum.data() + b;
+    for (const auto& up : uploads) {
+      const std::uint8_t* src = up.data() + 8 * b;
+      for (std::size_t i = 0; i < n; ++i) {
+        std::uint64_t w;
+        std::memcpy(&w, src + 8 * i, 8);
+        sum[i] += w;
+      }
+    }
   }
 
   // Shares of client-at-position c held by U3 members (first t suffice).
@@ -376,41 +402,49 @@ SecureAggServer::Recovery SecureAggServer::unmask(
     return held;
   };
 
-  // Remove the self-mask of every upload survivor.
+  // The self-mask of every upload survivor comes out.
+  std::vector<rng::StreamTerm> terms;
   for (std::size_t i = 0; i < u3.size(); ++i) {
-    const Packet& p = packets_[u3_pos[i]];
     const std::uint64_t b =
-        shamir::reconstruct(held_shares(p.b_shares), threshold_);
-    rng::Rng prg(self_seed_for(b, u3[i]));
-    for (auto& w : rec.sum) w -= prg.next();
+        shamir::reconstruct(held_shares(packets_[u3_pos[i]]->b_shares),
+                            threshold_);
+    terms.push_back({self_seed_for(b, u3[i]), true});
     ++rec.self_masks_removed;
   }
 
-  // Remove the residual pairwise masks of share survivors that dropped
+  // So do the residual pairwise masks of share survivors that dropped
   // before upload (U2 \ U3): reconstruct their DH key, re-derive each pair
   // stream against the survivors' public keys.
   for (std::size_t pos = 0; pos < cohort_.size(); ++pos) {
-    if (!packets_[pos].present) continue;  // not in U2
+    if (!packets_[pos]) continue;  // not in U2
     const std::uint32_t j = cohort_[pos];
     if (std::find(u3.begin(), u3.end(), j) != u3.end()) continue;  // in U3
     const std::uint64_t k =
-        shamir::reconstruct(held_shares(packets_[pos].k_shares), threshold_);
+        shamir::reconstruct(held_shares(packets_[pos]->k_shares), threshold_);
     for (std::size_t i = 0; i < u3.size(); ++i) {
-      const std::uint64_t dh =
-          shamir::commit_pow(packets_[u3_pos[i]].pk, k);
-      rng::Rng prg(pair_seed_for(round_seed_, dh, u3[i], j));
+      const std::uint64_t dh = shamir::commit_pow(packets_[u3_pos[i]]->pk, k);
       // Survivor u3[i] applied +stream if u3[i] < j, else -stream; undo it.
-      if (u3[i] < j) {
-        for (auto& w : rec.sum) w -= prg.next();
-      } else {
-        for (auto& w : rec.sum) w += prg.next();
-      }
+      terms.push_back(
+          {pair_seed_for(round_seed_, dh, u3[i], j), u3[i] < j});
     }
     ++rec.pair_keys_reconstructed;
   }
+  rng::add_streams(rec.sum, terms);
 
   rec.ok = true;
   return rec;
+}
+
+SecureAggServer::Recovery SecureAggServer::unmask(
+    std::span<const std::uint32_t> u3,
+    const std::vector<std::vector<std::uint64_t>>& uploads) const {
+  std::vector<std::span<const std::uint8_t>> views;
+  views.reserve(uploads.size());
+  for (const auto& up : uploads) {
+    views.push_back({reinterpret_cast<const std::uint8_t*>(up.data()),
+                     up.size() * 8});
+  }
+  return unmask(u3, views);
 }
 
 }  // namespace appfl::dp

@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -67,6 +68,10 @@ std::vector<float> pack_bytes_as_floats(std::span<const std::uint8_t> bytes);
 /// Exact inverse of pack_bytes_as_floats. Throws on a malformed prefix.
 std::vector<std::uint8_t> unpack_bytes_from_floats(
     std::span<const float> words);
+/// The same inverse over the payload's raw float bytes as they sit in a
+/// wire buffer: a view into `words`, no copy. Throws on a malformed prefix.
+std::span<const std::uint8_t> unframe_bytes(
+    std::span<const std::uint8_t> words);
 
 /// Bit-casts a masked u64 vector to 2 floats per word (and back).
 std::vector<float> pack_words_as_floats(std::span<const std::uint64_t> words);
@@ -88,8 +93,8 @@ class SecureAggClient {
 
   /// Quantizes `values` at `scale * weight` (the aggregation weight is
   /// folded into the fixed-point scale so the server's sum is a weighted
-  /// sum) and streams the self-mask plus one pairwise mask per peer in
-  /// `u2` directly into the buffer — no per-pair temporaries.
+  /// sum) and adds the self-mask plus one pairwise mask per peer in `u2`
+  /// with one rng::add_streams call — no per-pair temporaries.
   /// `u2` is the share-survivor set announced by the server; it must
   /// contain this client and only cohort members.
   std::vector<std::uint64_t> mask(std::span<const float> values,
@@ -122,9 +127,27 @@ class SecureAggServer {
   SecureAggServer(std::span<const std::uint32_t> cohort,
                   std::uint64_t round_seed, std::size_t threshold);
 
-  /// Parses and Feldman-verifies one client's share packet. Returns false
-  /// (and keeps the client out of U2) on malformed bytes, a cohort/threshold
-  /// mismatch, or any share failing verification.
+  /// One client's share packet, parsed and Feldman-verified.
+  struct VerifiedPacket {
+    std::uint64_t pk = 0;
+    std::vector<shamir::Share> b_shares;  ///< indexed by cohort position
+    std::vector<shamir::Share> k_shares;
+  };
+
+  /// Parses and Feldman-verifies one client's share packet without
+  /// depositing it: nullopt on malformed bytes, a sender outside the
+  /// cohort, a cohort/threshold mismatch, or any share failing
+  /// verification. Reads no deposit state, so packets may be verified
+  /// concurrently.
+  std::optional<VerifiedPacket> verify_share_packet(
+      std::uint32_t sender, std::span<const std::uint8_t> bytes) const;
+
+  /// Deposits a packet verify_share_packet accepted for `sender`, which
+  /// joins U2. False, with no effect, for a sender already in U2.
+  bool deposit_verified(std::uint32_t sender, VerifiedPacket packet);
+
+  /// verify_share_packet then deposit_verified. Returns false (and keeps
+  /// the client out of U2) on a duplicate or a packet failing verification.
   bool deposit_share_packet(std::uint32_t sender,
                             std::span<const std::uint8_t> bytes);
 
@@ -142,25 +165,25 @@ class SecureAggServer {
   };
 
   /// Removes all masks from the uploads of `u3` (ids, each in U2;
-  /// `uploads[i]` is u3[i]'s masked vector). Reconstructs b_i for i in U3
-  /// and k_j for j in U2 \ U3 from the shares held by U3 members.
+  /// `uploads[i]` is u3[i]'s masked vector as native-endian 64-bit words,
+  /// at any alignment — the wire bytes of a pack_words_as_floats payload).
+  /// Reconstructs b_i for i in U3 and k_j for j in U2 \ U3 from the shares
+  /// held by U3 members, sums the uploads in one pass and removes every
+  /// mask stream with one rng::add_streams call.
+  Recovery unmask(std::span<const std::uint32_t> u3,
+                  std::span<const std::span<const std::uint8_t>> uploads) const;
+  /// The same over owning word vectors.
   Recovery unmask(std::span<const std::uint32_t> u3,
                   const std::vector<std::vector<std::uint64_t>>& uploads) const;
 
  private:
-  struct Packet {
-    bool present = false;
-    std::uint64_t pk = 0;
-    std::vector<shamir::Share> b_shares;  ///< indexed by cohort position
-    std::vector<shamir::Share> k_shares;
-  };
-
   std::size_t index_of(std::uint32_t id) const;
 
   std::vector<std::uint32_t> cohort_;
   std::uint64_t round_seed_ = 0;
   std::size_t threshold_ = 0;
-  std::vector<Packet> packets_;
+  /// By cohort position; a present packet puts its sender in U2.
+  std::vector<std::optional<VerifiedPacket>> packets_;
 };
 
 }  // namespace appfl::dp

@@ -30,24 +30,6 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& s : s_) s = splitmix64(state);
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
 double Rng::uniform01() {
   // Top 53 bits → double in [0,1).
   return static_cast<double>(next() >> 11) * 0x1.0p-53;

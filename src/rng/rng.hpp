@@ -42,7 +42,19 @@ class Rng {
 
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
-  std::uint64_t next();
+  /// One xoshiro256** step. Inline: the mask streams and the samplers call
+  /// it once per word.
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   // UniformRandomBitGenerator interface.
   result_type operator()() { return next(); }
@@ -69,6 +81,10 @@ class Rng {
   void set_state(const std::array<std::uint64_t, 4>& s);
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

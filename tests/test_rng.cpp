@@ -4,16 +4,20 @@
 
 #include "util/check.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "rng/distributions.hpp"
 #include "rng/rng.hpp"
+#include "rng/streams.hpp"
 
 namespace {
 
 using appfl::rng::Rng;
+using appfl::rng::StreamTerm;
 
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42), b(42);
@@ -225,6 +229,86 @@ TEST(Bernoulli, FrequencyMatchesP) {
     if (appfl::rng::bernoulli(r, 0.3)) ++hits;
   }
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
+}
+
+// --- Multi-stream kernel ----------------------------------------------------
+
+// What add_streams must equal: one Rng::next() loop per term.
+std::vector<std::uint64_t> reference_sum(std::vector<std::uint64_t> out,
+                                         const std::vector<StreamTerm>& terms) {
+  for (const StreamTerm& term : terms) {
+    Rng prg(term.seed);
+    for (auto& w : out) w = term.negate ? w - prg.next() : w + prg.next();
+  }
+  return out;
+}
+
+// Sign patterns: mixed, all negated, alternating. The kernel groups terms
+// by sign, so each pattern splits the terms differently.
+std::vector<StreamTerm> mixed_terms(std::size_t count, int pattern = 0) {
+  std::vector<StreamTerm> terms;
+  for (std::size_t k = 0; k < count; ++k) {
+    const bool negate = pattern == 0 ? k % 3 == 1 : pattern == 1 || k % 2;
+    terms.push_back({appfl::rng::derive_seed(77, {k}), negate});
+  }
+  return terms;
+}
+
+std::vector<std::uint64_t> random_words(std::size_t len) {
+  Rng r(len + 1);
+  std::vector<std::uint64_t> out(len);
+  for (auto& w : out) w = r.next();
+  return out;
+}
+
+using StreamKernel = void (*)(std::span<std::uint64_t>,
+                              std::span<const StreamTerm>);
+
+void expect_matches_reference(StreamKernel kernel) {
+  for (int pattern = 0; pattern < 3; ++pattern) {
+    for (std::size_t count = 0; count <= 9; ++count) {
+      const std::vector<StreamTerm> terms = mixed_terms(count, pattern);
+      for (std::size_t len : {0UL, 1UL, 3UL, 4UL, 5UL, 1023UL}) {
+        const std::vector<std::uint64_t> base = random_words(len);
+        std::vector<std::uint64_t> out = base;
+        kernel(out, terms);
+        EXPECT_EQ(out, reference_sum(base, terms))
+            << "pattern " << pattern << ", " << count << " terms, " << len
+            << " words";
+      }
+    }
+  }
+}
+
+TEST(AddStreams, PortableMatchesRngNext) {
+  expect_matches_reference(appfl::rng::detail::add_streams_portable);
+}
+
+TEST(AddStreams, Avx2MatchesRngNext) {
+  if (!appfl::rng::streams_use_avx2()) GTEST_SKIP() << "no AVX2 on this CPU";
+  expect_matches_reference(appfl::rng::detail::add_streams_avx2);
+}
+
+TEST(AddStreams, DispatchMatchesRngNext) {
+  expect_matches_reference(appfl::rng::add_streams);
+}
+
+TEST(AddStreams, TermOrderDoesNotChangeTheSum) {
+  std::vector<StreamTerm> terms = mixed_terms(13);
+  std::vector<std::uint64_t> forward(2051, 5), reversed(2051, 5);
+  appfl::rng::add_streams(forward, terms);
+  std::reverse(terms.begin(), terms.end());
+  appfl::rng::add_streams(reversed, terms);
+  EXPECT_EQ(forward, reversed);
+}
+
+TEST(AddStreams, NegatedTermCancelsItsTwin) {
+  const std::vector<StreamTerm> terms{{99, false}, {99, true}, {7, false},
+                                      {7, true},   {1, true},  {1, false}};
+  const std::vector<std::uint64_t> base = random_words(1023);
+  std::vector<std::uint64_t> out = base;
+  appfl::rng::add_streams(out, terms);
+  EXPECT_EQ(out, base);
 }
 
 }  // namespace

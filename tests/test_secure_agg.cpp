@@ -12,10 +12,12 @@
 
 #include "core/event_engine.hpp"
 #include "core/fedavg.hpp"
+#include "core/round_session.hpp"
 #include "core/runner.hpp"
 #include "data/synth.hpp"
 #include "dp/secure_agg.hpp"
 #include "rng/distributions.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -400,6 +402,68 @@ TEST(SecureAgg, InvalidConfigurationsRejected) {
   EXPECT_THROW(c.mask(random_update(1, 4), std::vector<std::uint32_t>{2, 3},
                       kScale, 1.0),
                appfl::Error);
+}
+
+// --- Batched share deposit -------------------------------------------------
+
+TEST(SecAggRound, DepositAllMatchesSequentialDeposits) {
+  // Verification runs on the pool, deposits stay serial: every packet must
+  // get the verdict a one-at-a-time deposit gives it, and U2 must match.
+  appfl::core::RunConfig cfg;
+  cfg.seed = 41;
+  cfg.secure_agg_threshold = 3;
+  const std::vector<std::uint32_t> cohort{2, 4, 6, 8, 10};
+  appfl::core::SecAggRound sec(cfg, /*round=*/5, cohort);
+  std::vector<std::vector<float>> honest;
+  for (std::size_t slot = 0; slot < cohort.size(); ++slot) {
+    honest.push_back(sec.share(slot, appfl::comm::Message{}).primal);
+  }
+  std::vector<float> tampered = honest[1];
+  reinterpret_cast<std::uint8_t*>(tampered.data())[4 + 30] ^= 0x40;
+  std::vector<float> bad_prefix = honest[3];
+  bad_prefix[0] = 1e30F;  // the length prefix no longer fits the payload
+
+  const std::vector<std::pair<std::uint32_t, const std::vector<float>*>>
+      batch{
+          {2, &honest[0]},      // accepted
+          {2, &honest[0]},      // duplicate
+          {4, &tampered},       // fails Feldman verification
+          {4, &honest[1]},      // good packet after a bad one, same sender
+          {8, &honest[2]},      // slot 2's packet under another sender
+          {99, &honest[4]},     // sender outside the cohort
+          {8, &bad_prefix},     // malformed framing
+          {6, &honest[2]},      // accepted
+          {8, &honest[3]},      // accepted after two rejects
+          {6, &tampered},       // tampered copy after the good one
+      };
+  std::vector<appfl::core::SecAggRound::SharePacket> packets;
+  for (const auto& [sender, payload] : batch) {
+    packets.push_back(
+        {sender, appfl::comm::FloatView(
+                     reinterpret_cast<const std::uint8_t*>(payload->data()),
+                     payload->size())});
+  }
+  appfl::util::ThreadPool pool(3);
+  const std::vector<bool> verdicts = sec.deposit_all(packets, pool);
+
+  // Verdicts depend on the cohort and threshold only, not the round seed.
+  appfl::dp::SecureAggServer sequential(cohort, /*round_seed=*/0, 3);
+  std::vector<bool> expected;
+  for (const auto& [sender, payload] : batch) {
+    bool ok = false;
+    try {
+      ok = sequential.deposit_share_packet(
+          sender, appfl::dp::unpack_bytes_from_floats(*payload));
+    } catch (const appfl::Error&) {
+    }
+    expected.push_back(ok);
+  }
+  EXPECT_EQ(verdicts, expected);
+  EXPECT_EQ(verdicts, (std::vector<bool>{true, false, false, true, false,
+                                         false, false, true, true, false}));
+  EXPECT_TRUE(sec.close_shares(nullptr));
+  EXPECT_EQ(sec.u2(), sequential.share_survivors());
+  EXPECT_EQ(sec.u2(), (std::vector<std::uint32_t>{2, 4, 6, 8}));
 }
 
 // --- Runner integration ---------------------------------------------------
